@@ -72,9 +72,25 @@ def estimated_input_profile(h: InputHistory, d_hat: float,
     return np.asarray(distributed_input(h, d_hat, grid.points), dtype=float)
 
 
+def _q3_q4(sys: SystemModel, p: np.ndarray, u_hat: np.ndarray,
+           d_hat: float):
+    """Terms of the unmeasured law along the predictor curve p.
+
+    Returns p_x = d_hat f(p, u_hat), dkappa(p), q3 = dkappa(p) . f(p(0),
+    u_hat(0)) and q4 = dq3/dx.
+    """
+    p_x = d_hat * sys.dynamics(p, u_hat)                       # (N, n)
+    grads = sys.controller_grad(p)                             # (N, n)
+    f0 = sys.dynamics(p[0], float(u_hat[0]))                   # (n,)
+    q3 = grads @ f0
+    hess = sys.hessian_or_fd(p)                                # (N, n, n)
+    q4 = np.einsum("ij,ijk,k->i", p_x, hess, f0)
+    return p_x, grads, q3, q4
+
+
 def phi_unmeasured(sys: SystemModel, p_hat: PredictorProfile,
                    u_hat: np.ndarray, u_hat_x: np.ndarray,
-                   h: InputHistory, d_hat: float, grid: PredictorGrid) -> float:
+                   d_hat: float, grid: PredictorGrid) -> float:
     """Sign-based update signal when the distributed input is reconstructed.
 
     phi = 2 sgn(w_x(1)) q3(1) + int (1+x) [q3 sgn(w) + q4 sgn(w_x)] dx with
@@ -84,14 +100,8 @@ def phi_unmeasured(sys: SystemModel, p_hat: PredictorProfile,
     xs = grid.points
     p = p_hat.values
     w_hat = u_hat - sys.controller(p)
-    p_x = d_hat * sys.dynamics(p, u_hat)                       # (N, n)
-    grads = sys.controller_grad(p)                             # (N, n)
+    p_x, grads, q3, q4 = _q3_q4(sys, p, u_hat, d_hat)
     w_hat_x = u_hat_x - np.einsum("ij,ij->i", grads, p_x)
-
-    f0 = sys.dynamics(p[0], float(u_hat[0]))                   # (n,)
-    q3 = grads @ f0
-    hess = sys.hessian_or_fd(p)                                # (N, n, n)
-    q4 = np.einsum("ij,ijk,k->i", p_x, hess, f0)
 
     sw = deadzone_sign(w_hat)
     swx = deadzone_sign(w_hat_x)
@@ -105,13 +115,7 @@ def phi_unmeasured_bound(sys: SystemModel, p_hat: PredictorProfile,
                          grid: PredictorGrid) -> float:
     """Computable per-step bound 2|q3(1)| + int (1+x)(|q3|+|q4|) dx."""
     xs = grid.points
-    p = p_hat.values
-    p_x = d_hat * sys.dynamics(p, u_hat)
-    grads = sys.controller_grad(p)
-    f0 = sys.dynamics(p[0], float(u_hat[0]))
-    q3 = grads @ f0
-    hess = sys.hessian_or_fd(p)
-    q4 = np.einsum("ij,ijk,k->i", p_x, hess, f0)
+    _, _, q3, q4 = _q3_q4(sys, p_hat.values, u_hat, d_hat)
     return float(2.0 * abs(q3[-1])
                  + np.trapezoid((1.0 + xs) * (np.abs(q3) + np.abs(q4)), xs))
 

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .neural_operator import NeuralOperatorModel, forward
-from .predictor import PredictorGrid, solve_fixed_point, solve_ode_march
+from .predictor import PredictorGrid, solve_fixed_point
 from .systems import SystemModel
 
 WARMUP_SOLVES = 50
@@ -143,12 +143,6 @@ def benchmark_predictors(sys: SystemModel, backends: list, dx_list: list,
                     j = i % count
                     solve_fixed_point(sys, X[j], lambda x: u_nodes[j], d[j],
                                       _g, tol=solver_tol)
-            elif backend == "march":
-                def fn(i, _g=grid):
-                    j = i % count
-                    solve_ode_march(
-                        sys, X[j],
-                        lambda x: np.interp(x, x_fine, u_fine[j]), d[j], _g)
             elif backend == "neural":
                 def fn(i, _g=grid):
                     j = i % count

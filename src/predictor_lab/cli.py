@@ -114,7 +114,6 @@ def cmd_simulate(args) -> int:
         uncompensated=bool(get("uncompensated", bool, False)),
         linear_a=get("linear-a", float, -0.5),
         linear_b=get("linear-b", float, 1.0),
-        seed=get("seed", int, 0),
     )
     if cfg.t_final <= 0 or cfg.dt <= 0:
         print("error: tf and dt must be positive", file=_sys.stderr)
@@ -254,7 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--uncompensated", action="store_const", const=True)
     sim.add_argument("--linear-a", type=float)
     sim.add_argument("--linear-b", type=float)
-    sim.add_argument("--seed", type=int)
     sim.add_argument("--out", help="trace CSV path")
     sim.set_defaults(fn=cmd_simulate)
 

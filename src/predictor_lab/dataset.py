@@ -9,6 +9,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .history import delayed_input_sampler
 from .predictor import PredictorError, PredictorGrid, solve_fixed_point
 from .simulation import SimulationConfig, run
 from .systems import make_system
@@ -103,8 +104,7 @@ def _source_run(args) -> dict:
         if k == 0 or k % stride_steps:
             return
         delay = d_hat if cfg.law == "unmeasured" else cfg.d_true
-        theta = np.minimum(t + delay * (m_grid - 1.0), hist.current_time)
-        u_m = hist.sample(theta)
+        u_m = delayed_input_sampler(hist, t, delay)(m_grid)
         try:
             values, residual = solve_target(sys, X, u_m, d_hat, q, tol=tol)
         except PredictorError:

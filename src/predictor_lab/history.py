@@ -152,6 +152,23 @@ def distributed_input(h: InputHistory, delay: float, x):
     return h.sample(theta) if x.ndim else float(h.sample(float(theta)))
 
 
+def delayed_input_sampler(h: InputHistory, t: float, delay: float):
+    """u(x) = U(t + delay (x-1)), holding the newest sample at the x=1 edge.
+
+    Inside a control step U(t) is not yet pushed, so the profile's newest
+    cell is zero-order-held; the plant integration is O(dt) anyway.  After
+    the push the hold is a no-op.
+    """
+    newest = h.current_time
+
+    def sampler(x):
+        theta = np.minimum(t + delay * (np.asarray(x, dtype=float) - 1.0),
+                           newest)
+        return h.sample(theta)
+
+    return sampler
+
+
 def distributed_input_xderiv(h: InputHistory, delay: float, x):
     """du/dx = delay * U'(t + delay (x - 1)), U' by finite differences."""
     if not 0.0 < delay <= h.window_length + 1e-12:

@@ -54,8 +54,6 @@ class NeuralOperatorModel:
     norm_in_sd: np.ndarray
     norm_out_mu: np.ndarray  # (n,) output normalization
     norm_out_sd: np.ndarray
-    activation: str = "tanh"
-    includes_delay: bool = True
     meta: dict = field(default_factory=dict)
 
     @property
@@ -400,8 +398,7 @@ def _format_array(a: np.ndarray) -> list:
 def save_model(model: NeuralOperatorModel, path) -> None:
     lines = [f"predictor-operator-model format_version={FORMAT_VERSION}",
              f"n={model.n} m={model.m} d_c={model.d_c} "
-             f"layers={model.layers} activation={model.activation} "
-             f"includes_delay={int(model.includes_delay)}"]
+             f"layers={model.layers}"]
     arrays = {"norm_in_mu": model.norm_in_mu, "norm_in_sd": model.norm_in_sd,
               "norm_out_mu": model.norm_out_mu,
               "norm_out_sd": model.norm_out_sd}
@@ -470,6 +467,4 @@ def load_model(path) -> NeuralOperatorModel:
         norm_in_mu=arrays["norm_in_mu"].reshape(-1),
         norm_in_sd=arrays["norm_in_sd"].reshape(-1),
         norm_out_mu=arrays["norm_out_mu"].reshape(-1),
-        norm_out_sd=arrays["norm_out_sd"].reshape(-1),
-        activation=header.get("activation", "tanh"),
-        includes_delay=bool(int(header.get("includes_delay", "1"))))
+        norm_out_sd=arrays["norm_out_sd"].reshape(-1))

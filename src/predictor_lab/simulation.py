@@ -12,17 +12,16 @@ import numpy as np
 
 from .adaptation import (AdaptationState, estimated_input_profile,
                          phi_measured, phi_unmeasured, step_delay_estimate)
-from .history import (InputHistory, distributed_input_xderiv,
-                      window_functionals)
+from .history import (InputHistory, delayed_input_sampler,
+                      distributed_input_xderiv, window_functionals)
 from .neural_operator import NeuralOperatorModel, forward, load_model
 from .predictor import (PredictorError, PredictorGrid, PredictorProfile,
-                        integral_residual, q1_scan, solve_fixed_point,
-                        solve_ode_march)
+                        integral_residual, q1_scan, solve_fixed_point)
 from .systems import SystemModel, make_system
 
 log = logging.getLogger("predictor_lab")
 
-PREDICTOR_CHOICES = ("numeric_fixed_point", "numeric_march", "neural", "none")
+PREDICTOR_CHOICES = ("numeric_fixed_point", "neural", "none")
 LAW_CHOICES = ("measured", "unmeasured", "frozen")
 MAX_CONSECUTIVE_SOLVER_FAILURES = 10
 DIVERGENCE_NORM = 1e12
@@ -51,7 +50,6 @@ class SimulationConfig:
     solver_max_iter: int = 200
     linear_a: float = -0.5
     linear_b: float = 1.0
-    seed: int = 0
 
     def validate(self):
         """Reject a configuration that ``run`` cannot execute.
@@ -135,22 +133,6 @@ def upsilon_functional(sys: SystemModel, X, h: InputHistory, d_true: float,
                  + w["int_absUddot"] + (d_true - d_hat) ** 2)
 
 
-def _history_sampler(h: InputHistory, t: float, delay: float):
-    """u(x) = U(t + delay (x-1)), holding the newest sample at the x=1 edge.
-
-    Within a step the control U(t) is not yet pushed, so the profile's
-    newest cell is zero-order-held; the plant integration is O(dt) anyway.
-    """
-    newest = h.current_time
-
-    def sampler(x):
-        theta = np.minimum(t + delay * (np.asarray(x, dtype=float) - 1.0),
-                           newest)
-        return h.sample(theta)
-
-    return sampler
-
-
 def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         model: Optional[NeuralOperatorModel] = None,
         on_step=None) -> SimulationTrace:
@@ -204,15 +186,13 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
             u_raw = float(sys.controller(X)) if cfg.uncompensated else 0.0
         else:
             profile_delay = d_hat if cfg.law == "unmeasured" else cfg.d_true
-            sampler = _history_sampler(hist, t, profile_delay)
+            sampler = delayed_input_sampler(hist, t, profile_delay)
             try:
                 tic = time.perf_counter()
                 if cfg.predictor == "numeric_fixed_point":
                     profile = solve_fixed_point(
                         sys, X, sampler, d_hat, grid, tol=cfg.solver_tol,
                         max_iter=cfg.solver_max_iter, warm_start=warm)
-                elif cfg.predictor == "numeric_march":
-                    profile = solve_ode_march(sys, X, sampler, d_hat, grid)
                 else:  # neural
                     u_m = np.asarray(sampler(model.input_grid), dtype=float)
                     values = forward(model, X, u_m, d_hat, grid.points)
@@ -250,7 +230,7 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
                 if cfg.law == "measured":
                     u_nodes = hist.sample(t + cfg.d_true * (grid.points - 1.0))
                     w = u_nodes - sys.controller(profile.values)
-                    post_sampler = _history_sampler(hist, t, cfg.d_true)
+                    post_sampler = delayed_input_sampler(hist, t, cfg.d_true)
                     q1 = q1_scan(sys, profile, post_sampler, d_hat,
                                  float(u_nodes[0]))
                     phi = phi_measured(sys, w, q1, X, cfg.b, grid)
@@ -258,7 +238,7 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
                     u_hat = estimated_input_profile(hist, d_hat, grid)
                     u_hat_x = distributed_input_xderiv(hist, d_hat, grid.points)
                     phi = phi_unmeasured(sys, profile, u_hat, u_hat_x,
-                                         hist, d_hat, grid)
+                                         d_hat, grid)
                 if not np.isfinite(phi):
                     phi = 0.0
             except (PredictorError, FloatingPointError):

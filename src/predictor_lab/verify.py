@@ -290,13 +290,18 @@ SUITES = {
 
 
 def run_suites(names=None, seed: int = 0):
+    """Run the named suites (all by default); a suite that raises is a FAIL."""
     names = list(SUITES) if not names else list(names)
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown verify suite {name!r}; "
                              f"choices: {', '.join(SUITES)}")
-        results.append(SUITES[name](seed=seed))
+        try:
+            results.append(SUITES[name](seed=seed))
+        except Exception as exc:
+            results.append(SuiteResult(name, False,
+                                       f"raised {type(exc).__name__}: {exc}"))
     return results
 
 

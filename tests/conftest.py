@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 import predictor_lab as pl
-from predictor_lab.dataset import SampleRanges, generate_dataset
 from predictor_lab.neural_operator import TrainingConfig, train
 from predictor_lab.verify import linear_closed_form, random_profile
 
@@ -60,53 +59,5 @@ def linear_model(linear_oracle_dataset):
     cfg = TrainingConfig(learning_rate=2e-3, batch_size=64, epochs=350,
                          early_stop_patience=60, seed=5)
     model, report = train(linear_oracle_dataset, cfg, d_c=64, layers=2)
-    model.meta["report"] = report
-    return model
-
-
-@pytest.fixture(scope="session")
-def protein_dataset():
-    base = pl.SimulationConfig(system="protein", d_min=0.5, d_max=2.5,
-                               gamma=1000.0, b=1.0, dt=2e-3, t_final=16.0,
-                               law="measured", grid_points=41,
-                               solver_max_iter=1000)
-    ranges = SampleRanges(x0_lo=(0.02, 15.0), x0_hi=(0.3, 32.0),
-                          d_true=(0.8, 1.4), d_hat0=(0.7, 2.3))
-    return generate_dataset(base, 2000, ranges, seed=7, m=41, stride_s=0.1)
-
-
-@pytest.fixture(scope="session")
-def protein_model_optimal(protein_dataset):
-    cfg = TrainingConfig(learning_rate=2e-3, batch_size=64, epochs=400,
-                         early_stop_patience=50, seed=3)
-    model, report = train(protein_dataset, cfg, d_c=64, layers=2)
-    model.meta["report"] = report
-    return model
-
-
-@pytest.fixture(scope="session")
-def protein_model_early(protein_dataset):
-    cfg = TrainingConfig(learning_rate=2e-3, batch_size=64, epochs=400,
-                         early_stop_patience=1, seed=3)
-    model, report = train(protein_dataset, cfg, d_c=64, layers=2)
-    model.meta["report"] = report
-    return model
-
-
-@pytest.fixture(scope="session")
-def chemostat_dataset():
-    base = pl.SimulationConfig(system="chemostat", d_min=1.0, d_max=2.2,
-                               gamma=0.2, b=1.0, dt=2e-3, t_final=16.0,
-                               law="unmeasured", grid_points=41)
-    ranges = SampleRanges(x0_lo=(1.6, 1.3), x0_hi=(3.6, 2.8),
-                          d_true=(1.3, 1.9), d_hat0=(1.3, 2.1))
-    return generate_dataset(base, 5000, ranges, seed=13, m=41, stride_s=0.1)
-
-
-@pytest.fixture(scope="session")
-def chemostat_model(chemostat_dataset):
-    cfg = TrainingConfig(learning_rate=2e-3, batch_size=128, epochs=300,
-                         early_stop_patience=40, seed=3)
-    model, report = train(chemostat_dataset, cfg, d_c=64, layers=2)
     model.meta["report"] = report
     return model

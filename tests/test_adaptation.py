@@ -111,9 +111,8 @@ def test_phi_unmeasured_hand_value():
     u_hat = np.ones(101)                           # w_hat = 1 > 0
     # w_x = u_x - kappa' * p_x = u_x - d_hat * 2 > 0 with u_x = 3
     u_hat_x = np.full(101, 3.0)
-    h = pl.InputHistory(1e-2, 4.0)
     phi = pl.phi_unmeasured(sys, hand_profile(sys, grid, d_hat, p_vals),
-                            u_hat, u_hat_x, h, d_hat, grid)
+                            u_hat, u_hat_x, d_hat, grid)
     assert phi == pytest.approx(7.0, abs=1e-9)
 
 
@@ -124,9 +123,8 @@ def test_phi_unmeasured_zero_when_matched():
     p_vals = np.linspace(0.0, 2.0, 51)[:, None]    # kappa(p) = p
     u_hat = p_vals[:, 0].copy()                    # w_hat = 0
     u_hat_x = np.full(51, d_hat * 2.0)             # w_x = 0
-    h = pl.InputHistory(1e-2, 4.0)
     phi = pl.phi_unmeasured(sys, hand_profile(sys, grid, d_hat, p_vals),
-                            u_hat, u_hat_x, h, d_hat, grid)
+                            u_hat, u_hat_x, d_hat, grid)
     assert phi == 0.0
 
 
@@ -136,16 +134,14 @@ def test_phi_unmeasured_zero_when_drift_vanishes():
     p_vals = np.random.default_rng(0).normal(size=(51, 1))
     u_hat = np.ones(51)
     u_hat_x = np.ones(51)
-    h = pl.InputHistory(1e-2, 4.0)
     phi = pl.phi_unmeasured(sys, hand_profile(sys, grid, 1.0, p_vals),
-                            u_hat, u_hat_x, h, 1.0, grid)
+                            u_hat, u_hat_x, 1.0, grid)
     assert phi == 0.0
 
 
 def test_phi_unmeasured_respects_computable_bound(protein):
     rng = np.random.default_rng(9)
     grid = PredictorGrid(41)
-    h = pl.InputHistory(1e-2, 4.0)
     for _ in range(20):
         X = protein.sample_states(1, rng)[0]
         vals = X + 0.05 * rng.normal(size=(41, 2))
@@ -153,7 +149,7 @@ def test_phi_unmeasured_respects_computable_bound(protein):
         prof = hand_profile(protein, grid, d_hat, vals)
         u_hat = rng.normal(size=41)
         u_hat_x = rng.normal(size=41)
-        phi = pl.phi_unmeasured(protein, prof, u_hat, u_hat_x, h, d_hat, grid)
+        phi = pl.phi_unmeasured(protein, prof, u_hat, u_hat_x, d_hat, grid)
         bound = phi_unmeasured_bound(protein, prof, u_hat, d_hat, grid)
         assert abs(phi) <= bound + 1e-9
 

@@ -83,6 +83,16 @@ def test_verify_deterministic_output(capsys):
     assert "PASS" in first
 
 
+def test_verify_reports_raising_suite_as_fail(monkeypatch, capsys):
+    def boom(seed=0):
+        raise RuntimeError("solver stalled")
+
+    monkeypatch.setitem(cli.verify_mod.SUITES, "boom", boom)
+    assert run_cli(["verify", "--suite", "boom"]) == cli.EXIT_DOMAIN
+    out = capsys.readouterr().out
+    assert out.strip() == "boom  FAIL  raised RuntimeError: solver stalled"
+
+
 def test_verify_unknown_suite(capsys):
     assert run_cli(["verify", "--suite", "nonsense"]) == cli.EXIT_USAGE
     capsys.readouterr()

@@ -173,21 +173,25 @@ def test_benchmark_failed_backend_marks_cell(linear, monkeypatch):
     def broken(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr(bench, "solve_ode_march", broken)
-    report = bench.benchmark_predictors(linear, ["numeric", "march"], [0.02],
-                                        10, corpus, warmup=2)
-    assert report.cell("march", 0.02).failed
+    monkeypatch.setattr(bench, "forward", broken)
+    report = bench.benchmark_predictors(linear, ["numeric", "neural"], [0.02],
+                                        10, corpus,
+                                        model=pl.init_model(1, 11, 4, 1),
+                                        warmup=2)
+    assert report.cell("neural", 0.02).failed
     assert not report.cell("numeric", 0.02).failed
 
 
 def test_benchmark_csv_layout(tmp_path, linear):
     corpus = bench.make_corpus(linear, 4, d_range=(0.5, 1.5), seed=2)
-    report = bench.benchmark_predictors(linear, ["numeric", "march"],
-                                        [0.02, 0.01], 10, corpus, warmup=2)
+    report = bench.benchmark_predictors(linear, ["numeric", "neural"],
+                                        [0.02, 0.01], 10, corpus,
+                                        model=pl.init_model(1, 11, 4, 1),
+                                        warmup=2)
     path = tmp_path / "bench.csv"
     report.write_csv(path)
     lines = path.read_text().splitlines()
     assert lines[0] == ("dx,numeric_mean_s,numeric_std_s,"
-                        "march_mean_s,march_std_s,march_speedup")
+                        "neural_mean_s,neural_std_s,neural_speedup")
     assert len(lines) == 3  # header + one row per dx, coarse first
     assert lines[1].startswith("0.02,")

@@ -180,6 +180,24 @@ def test_save_load_round_trip_exact(tmp_path_factory, seed):
                           no.forward(loaded, X, u, d, q))
 
 
+def test_load_accepts_v1_header_with_dropped_fields(tmp_path):
+    """Files written before the activation/includes_delay fields were dropped
+    still load, and the ignored fields do not change the forward pass."""
+    model = small_model()
+    path = tmp_path / "m.no"
+    no.save_model(model, path)
+    lines = path.read_text().splitlines()
+    assert lines[1] == "n=2 m=9 d_c=6 layers=2"
+    lines[1] += " activation=tanh includes_delay=1"
+    old = tmp_path / "old.no"
+    old.write_text("\n".join(lines) + "\n")
+    loaded = no.load_model(old)
+    X, u, d = random_inputs(model, 5)
+    q = np.linspace(0, 1, 6)
+    assert np.array_equal(no.forward(model, X, u, d, q),
+                          no.forward(loaded, X, u, d, q))
+
+
 def test_load_rejects_truncated_file(tmp_path):
     model = small_model()
     path = tmp_path / "m.no"
