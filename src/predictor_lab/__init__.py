@@ -11,10 +11,10 @@ from .history import (HistoryWindowError, InputHistory, distributed_input,
 from .neural_operator import (NeuralOperatorModel, TrainingConfig, forward,
                               init_model, load_model, save_model, train)
 from .predictor import (PredictorError, PredictorGrid, PredictorProfile,
-                        backstepping_w, lipschitz_constant, q1_profile,
-                        solve_fixed_point, solve_ode_march, transition_matrix)
+                        lipschitz_constant, q1_scan, solve_fixed_point,
+                        solve_ode_march, transition_matrix)
 from .simulation import (SimulationConfig, SimulationTrace, gamma_functional,
                          run, upsilon_functional)
-from .systems import GrowthConstants, SystemModel, make_system
+from .systems import SystemModel, make_system
 
 __version__ = "0.1.0"

@@ -11,6 +11,7 @@ from .predictor import PredictorGrid, PredictorProfile
 from .systems import SystemModel
 
 SIGN_DEADZONE = 1e-9  # avoids chattering on floating-point noise around zero
+LAW_CHOICES = ("measured", "unmeasured", "frozen")
 
 
 @dataclass
@@ -31,7 +32,7 @@ class AdaptationState:
             raise ValueError("d_hat must start inside [d_min, d_max]")
         if self.gamma < 0.0 or self.b <= 0.0:
             raise ValueError("gamma must be >= 0 and b > 0")
-        if self.law not in ("measured", "unmeasured", "frozen"):
+        if self.law not in LAW_CHOICES:
             raise ValueError(f"unknown adaptation law {self.law!r}")
 
 

@@ -175,62 +175,41 @@ def transition_matrix(sys: SystemModel, profile: PredictorProfile,
                       u_sampler: Callable, delay: float) -> np.ndarray:
     """Phi(x_i, 0) for dPhi/dx = delay * (df/dp)(p(x), u(x)) Phi, Phi(0) = I.
 
-    Integrated with the same 4th-order one-step scheme and grid as the
-    marching solver; returns an (N, n, n) stack.
+    Each cell advances by the 4th-order one-step propagator of the marching
+    solver, so Phi(x_i, 0) = P_{i-1} ... P_0.  The prefix products are formed
+    by doubling in ceil(log2 N) batched matmuls; returns an (N, n, n) stack.
     """
-    grid = profile.grid
-    n = sys.state_dim
     props = _cell_propagators(sys, profile, u_sampler, delay)
-    phi = np.empty((grid.n_points, n, n))
-    phi[0] = np.eye(n)
-    acc = phi[0]
-    for i in range(grid.n_points - 1):
-        acc = props[i] @ acc
-        phi[i + 1] = acc
+    phi = np.concatenate([np.eye(sys.state_dim)[None], props])
+    k = 1
+    while k < len(phi):
+        # phi[i] holds P_{i-1} ... P_{i-k}; append the next k earlier factors
+        phi[k:] = phi[k:] @ phi[:-k]
+        k *= 2
     return phi
-
-
-def backstepping_w(sys: SystemModel, profile: PredictorProfile,
-                   u_sampler: Callable) -> np.ndarray:
-    """w(x_i) = u(x_i) - kappa(p(x_i)) along the predictor curve."""
-    u_nodes = np.asarray(u_sampler(profile.grid.points), dtype=float)
-    return u_nodes - sys.controller(profile.values)
-
-
-def q1_profile(sys: SystemModel, profile: PredictorProfile,
-               tm: np.ndarray, u0: float) -> np.ndarray:
-    """q1(x_i) = dkappa(p(x_i)) . Phi(x_i, 0) f(X, u0) for the update law."""
-    f0 = sys.dynamics(profile.values[0], float(u0))
-    grads = sys.controller_grad(profile.values)        # (N, n)
-    return np.einsum("ij,ijk,k->i", grads, tm, f0)
 
 
 def q1_scan(sys: SystemModel, profile: PredictorProfile, u_sampler: Callable,
             delay: float, u0: float) -> np.ndarray:
-    """q1 via the propagated vector Phi(x_i, 0) f(X, u0), skipping the
-    full matrix stack; identical to q1_profile up to float rounding."""
-    n = sys.state_dim
-    props = _cell_propagators(sys, profile, u_sampler, delay)
+    """q1(x_i) = dkappa(p(x_i)) . Phi(x_i, 0) f(X, u0) for the measured law.
+
+    Phi is the transition-matrix stack along the predictor curve and X the
+    curve's start p(0).
+    """
+    tm = transition_matrix(sys, profile, u_sampler, delay)
     f0 = sys.dynamics(profile.values[0], float(u0))
-    vs = np.empty((profile.grid.n_points, n))
-    vs[0] = f0
-    v = list(f0)
-    rng = range(n)
-    for i, P in enumerate(props.tolist(), 1):
-        v = [sum(P[r][c] * v[c] for c in rng) for r in rng]
-        vs[i] = v
-    grads = sys.controller_grad(profile.values)
-    return np.einsum("ij,ij->i", grads, vs)
+    grads = sys.controller_grad(profile.values)        # (N, n)
+    return np.einsum("ij,ij->i", grads, tm @ f0)
 
 
 def lipschitz_constant(sys: SystemModel, d_max: float) -> float:
     """Conservative Lipschitz bound of the predictor operator.
 
     C = e^{D_max C_f} max{1, Xi, D_max C_f} with
-    Xi = C_f [U_bar + e^{D_max C_f}(X_bar + C_f D_max U_bar)], all constants
-    taken from the system's sampled growth estimates over its compact box.
+    Xi = C_f [U_bar + e^{D_max C_f}(X_bar + C_f D_max U_bar)], with C_f the
+    system's sampled Lipschitz bound and X_bar, U_bar its compact box.
     """
-    c_f = sys.constants.C_f
+    c_f = sys.C_f
     x_bar = sys.x_bound
     u_bar = sys.u_bound
     e = np.exp(d_max * c_f)
@@ -240,5 +219,5 @@ def lipschitz_constant(sys: SystemModel, d_max: float) -> float:
 
 def uniform_predictor_bound(sys: SystemModel, d_max: float) -> float:
     """Sup-norm bound e^{D_max C_f}(X_bar + C_f D_max U_bar) on predictions."""
-    c_f = sys.constants.C_f
+    c_f = sys.C_f
     return float(np.exp(d_max * c_f) * (sys.x_bound + c_f * d_max * sys.u_bound))

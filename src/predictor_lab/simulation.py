@@ -10,8 +10,9 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptation import (AdaptationState, estimated_input_profile,
-                         phi_measured, phi_unmeasured, step_delay_estimate)
+from .adaptation import (LAW_CHOICES, AdaptationState,
+                         estimated_input_profile, phi_measured,
+                         phi_unmeasured, step_delay_estimate)
 from .history import (InputHistory, delayed_input_sampler,
                       distributed_input_xderiv, window_functionals)
 from .neural_operator import NeuralOperatorModel, forward, load_model
@@ -22,7 +23,6 @@ from .systems import SystemModel, make_system
 log = logging.getLogger("predictor_lab")
 
 PREDICTOR_CHOICES = ("numeric_fixed_point", "neural", "none")
-LAW_CHOICES = ("measured", "unmeasured", "frozen")
 MAX_CONSECUTIVE_SOLVER_FAILURES = 10
 DIVERGENCE_NORM = 1e12
 

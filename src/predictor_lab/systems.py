@@ -19,17 +19,6 @@ _ESTIMATE_SEED = 20240911
 
 
 @dataclass(frozen=True)
-class GrowthConstants:
-    """Sampled Lipschitz/growth bounds over the declared compact box."""
-
-    C_f: float
-    M1: float
-    M2: float
-    M3: float
-    M4: float
-
-
-@dataclass(frozen=True)
 class SystemModel:
     """A plant/controller pair with the derivative data the toolkit needs.
 
@@ -51,7 +40,7 @@ class SystemModel:
     x_lo: np.ndarray
     x_hi: np.ndarray
     u_bound: float
-    constants: GrowthConstants
+    C_f: float                  # sampled Lipschitz bound of f over the box
     controller_hessian: Optional[Callable] = None
     control_lo: Optional[float] = None
     control_hi: Optional[float] = None
@@ -88,34 +77,15 @@ class SystemModel:
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 
 
-def _estimate_constants(dyn, jac_x, jac_u, ctrl, ctrl_grad, setpoint,
-                        x_lo, x_hi, u_bound, n) -> GrowthConstants:
-    """Sampling-based maximization of the Lipschitz/growth bounds."""
+def _estimate_lipschitz(jac_x, jac_u, x_lo, x_hi, u_bound, n) -> float:
+    """Sampling-based maximization of the Lipschitz bound C_f of f."""
     rng = np.random.default_rng(_ESTIMATE_SEED)
     X = rng.uniform(x_lo, x_hi, size=(_ESTIMATE_SAMPLES, n))
     u = rng.uniform(-u_bound, u_bound, size=_ESTIMATE_SAMPLES)
-
-    jx = jac_x(X, u)
-    ju = jac_u(X, u)
     # spectral norms are cheap at these dimensions
-    jx_norm = np.linalg.norm(jx, ord=2, axis=(-2, -1))
-    ju_norm = np.linalg.norm(ju, axis=-1)
-    C_f = float(np.maximum(jx_norm, ju_norm).max())
-    M2 = float(jx_norm.max())
-
-    u_star = float(ctrl(setpoint))
-    dX = X - setpoint
-    du = u - u_star
-    denom = np.linalg.norm(dX, axis=-1) + np.abs(du)
-    keep = denom > 1e-6
-    fval = dyn(X, u)
-    M1 = float((np.linalg.norm(fval, axis=-1)[keep] / denom[keep]).max())
-
-    dxn = np.linalg.norm(dX, axis=-1)
-    keep = dxn > 1e-6
-    M3 = float((np.abs(ctrl(X) - u_star)[keep] / dxn[keep]).max())
-    M4 = float(np.linalg.norm(ctrl_grad(X), axis=-1).max())
-    return GrowthConstants(C_f=C_f, M1=M1, M2=M2, M3=M3, M4=M4)
+    jx_norm = np.linalg.norm(jac_x(X, u), ord=2, axis=(-2, -1))
+    ju_norm = np.linalg.norm(jac_u(X, u), axis=-1)
+    return float(np.maximum(jx_norm, ju_norm).max())
 
 
 # ---------------------------------------------------------------------------
@@ -198,15 +168,14 @@ def _make_protein() -> SystemModel:
     x_lo = np.array([0.0, 2.0])
     x_hi = np.array([0.22, 33.0])
     u_bound = 5.0
-    consts = _estimate_constants(dynamics, jacobian_state, jacobian_input,
-                                 controller, controller_grad, xstar,
-                                 x_lo, x_hi, u_bound, 2)
+    c_f = _estimate_lipschitz(jacobian_state, jacobian_input, x_lo, x_hi,
+                              u_bound, 2)
     return SystemModel(
         name="protein", state_dim=2, dynamics=dynamics,
         jacobian_state=jacobian_state, jacobian_input=jacobian_input,
         controller=controller, controller_grad=controller_grad,
         lyapunov=lyapunov, setpoint=xstar, x_lo=x_lo, x_hi=x_hi,
-        u_bound=u_bound, constants=consts,
+        u_bound=u_bound, C_f=c_f,
         params={"K1": K1, "K2": K2, "Ka": KA, "Kb": KB},
     )
 
@@ -293,15 +262,14 @@ def _make_chemostat() -> SystemModel:
     x_lo = np.array([1.0, 0.8])
     x_hi = np.array([4.5, 3.5])
     u_bound = 4.0
-    consts = _estimate_constants(dynamics, jacobian_state, jacobian_input,
-                                 controller, controller_grad, xstar,
-                                 x_lo, x_hi, u_bound, 2)
+    c_f = _estimate_lipschitz(jacobian_state, jacobian_input, x_lo, x_hi,
+                              u_bound, 2)
     return SystemModel(
         name="chemostat", state_dim=2, dynamics=dynamics,
         jacobian_state=jacobian_state, jacobian_input=jacobian_input,
         controller=controller, controller_grad=controller_grad,
         lyapunov=lyapunov, setpoint=xstar, x_lo=x_lo, x_hi=x_hi,
-        u_bound=u_bound, constants=consts,
+        u_bound=u_bound, C_f=c_f,
         control_lo=0.0, control_hi=5.0, params=dict(p),
     )
 
@@ -347,16 +315,15 @@ def _make_linear(a: float, b_in: float) -> SystemModel:
     x_lo = np.array([-5.0])
     x_hi = np.array([5.0])
     u_bound = 5.0
-    consts = _estimate_constants(dynamics, jacobian_state, jacobian_input,
-                                 controller, controller_grad, np.zeros(1),
-                                 x_lo, x_hi, u_bound, 1)
+    c_f = _estimate_lipschitz(jacobian_state, jacobian_input, x_lo, x_hi,
+                              u_bound, 1)
     return SystemModel(
         name="linear", state_dim=1, dynamics=dynamics,
         jacobian_state=jacobian_state, jacobian_input=jacobian_input,
         controller=controller, controller_grad=controller_grad,
         controller_hessian=controller_hessian,
         lyapunov=lyapunov, setpoint=np.zeros(1), x_lo=x_lo, x_hi=x_hi,
-        u_bound=u_bound, constants=consts,
+        u_bound=u_bound, C_f=c_f,
         params={"a": a, "b_in": b_in},
     )
 

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import predictor_lab as pl
 from predictor_lab.adaptation import phi_unmeasured_bound
 from predictor_lab.predictor import PredictorGrid, PredictorProfile
-from predictor_lab.systems import GrowthConstants, SystemModel
+from predictor_lab.systems import SystemModel
 
 
 def test_project_truth_table():
@@ -94,7 +94,7 @@ def scalar_test_system(f_const=2.0):
         controller_hessian=lambda X: np.zeros(np.shape(X)[:-1] + (1, 1)),
         lyapunov=lambda X: np.sum(np.square(X), axis=-1),
         setpoint=np.zeros(1), x_lo=-np.ones(1), x_hi=np.ones(1),
-        u_bound=1.0, constants=GrowthConstants(1.0, 1.0, 1.0, 1.0, 1.0))
+        u_bound=1.0, C_f=1.0)
 
 
 def hand_profile(sys, grid, d_hat, values):

@@ -5,8 +5,8 @@ import pytest
 from scipy.linalg import expm
 
 import predictor_lab as pl
-from predictor_lab.predictor import PredictorError, q1_scan
-from predictor_lab.systems import GrowthConstants, SystemModel
+from predictor_lab.predictor import PredictorError, _cell_propagators
+from predictor_lab.systems import SystemModel
 from predictor_lab.verify import linear_closed_form, random_profile
 
 from conftest import LINEAR_A, LINEAR_B
@@ -25,7 +25,7 @@ def toy_system(dynamics, jacobian_state, n=1, controller=None,
         controller_grad=(controller_grad or (lambda X: np.zeros(np.shape(X)))),
         lyapunov=lambda X: np.sum(np.square(X), axis=-1),
         setpoint=np.zeros(n), x_lo=-np.ones(n), x_hi=np.ones(n),
-        u_bound=1.0, constants=GrowthConstants(1.0, 1.0, 1.0, 1.0, 1.0))
+        u_bound=1.0, C_f=1.0)
 
 
 def zero_dynamics_system(n=2):
@@ -179,37 +179,12 @@ def test_transition_matrix_constant_jacobian_vs_expm():
         assert np.abs(tm[i] - exact).max() < 1e-8
 
 
-def test_backstepping_w_zero_when_input_matches_controller(linear):
-    rng = np.random.default_rng(5)
-    u = random_profile(rng, 1.0)
-    grid = pl.PredictorGrid(51)
-    prof = pl.solve_fixed_point(linear, [0.8], u, 1.1, grid)
-    u_matched = lambda x: linear.controller(prof.values[
-        np.round(np.asarray(x) * (grid.n_points - 1)).astype(int)])
-    w = pl.backstepping_w(linear, prof, u_matched)
-    assert np.abs(w).max() < 1e-12
-
-
-def test_backstepping_w_protein_origin_value(protein):
-    from predictor_lab.systems import hill_f1
-    X = np.array([0.03, 30.0])
-    grid = pl.PredictorGrid(41)
-    prof = pl.solve_fixed_point(protein, X, lambda x: np.zeros_like(x), 1.0,
-                                grid)
-    w = pl.backstepping_w(protein, prof, lambda x: np.zeros_like(x))
-    expected = hill_f1(0.03, 30.0) - hill_f1(*protein.setpoint)
-    assert w[0] == pytest.approx(expected, abs=1e-12)
-
-
 def test_q1_zero_at_equilibrium(protein):
     grid = pl.PredictorGrid(21)
     u_star = float(protein.controller(protein.setpoint))
-    prof = pl.solve_fixed_point(protein, protein.setpoint,
-                                lambda x: np.full(np.shape(x), u_star),
-                                1.0, grid)
-    tm = pl.transition_matrix(protein, prof,
-                              lambda x: np.full(np.shape(x), u_star), 1.0)
-    q1 = pl.q1_profile(protein, prof, tm, u_star)
+    u = lambda x: np.full(np.shape(x), u_star)
+    prof = pl.solve_fixed_point(protein, protein.setpoint, u, 1.0, grid)
+    q1 = pl.q1_scan(protein, prof, u, 1.0, u_star)
     assert np.abs(q1).max() < 1e-7
 
 
@@ -221,10 +196,9 @@ def test_q1_zero_for_constant_controller():
         controller=lambda X: np.full(np.shape(X)[:-1], 2.0),
         controller_grad=lambda X: np.zeros(np.shape(X)))
     grid = pl.PredictorGrid(21)
-    prof = pl.solve_fixed_point(sys, [1.0], lambda x: np.zeros_like(x), 1.0,
-                                grid)
-    tm = pl.transition_matrix(sys, prof, lambda x: np.zeros_like(x), 1.0)
-    assert np.abs(pl.q1_profile(sys, prof, tm, 0.0)).max() == 0.0
+    u = lambda x: np.zeros_like(x)
+    prof = pl.solve_fixed_point(sys, [1.0], u, 1.0, grid)
+    assert np.abs(pl.q1_scan(sys, prof, u, 1.0, 0.0)).max() == 0.0
 
 
 def test_q1_linear_closed_form(linear):
@@ -233,23 +207,26 @@ def test_q1_linear_closed_form(linear):
     X0, u0, delay = 0.6, 0.25, 1.3
     u = lambda x: np.full(np.shape(x), u0)
     prof = pl.solve_fixed_point(linear, [X0], u, delay, grid)
-    tm = pl.transition_matrix(linear, prof, u, delay)
-    q1 = pl.q1_profile(linear, prof, tm, u0)
+    q1 = pl.q1_scan(linear, prof, u, delay, u0)
     kappa_grad = -(a + 1.0) / b
     expected = kappa_grad * np.exp(a * delay * grid.points) * (a * X0 + b * u0)
     assert np.abs(q1 - expected).max() < 1e-6
 
 
-def test_q1_scan_matches_matrix_path(protein):
+def test_transition_matrix_is_ordered_prefix_product(protein):
+    """Phi(x_0) = I and Phi(x_{i+1}) = P_i Phi(x_i) with the cell
+    propagators P_i; the protein Jacobians along the curve do not commute,
+    so a product taken in the wrong order fails here."""
     rng = np.random.default_rng(6)
     u = random_profile(rng, 1.0)
-    grid = pl.PredictorGrid(41)
-    X = np.array([0.1, 8.0])
-    prof = pl.solve_fixed_point(protein, X, u, 1.2, grid)
+    grid = pl.PredictorGrid(201)
+    prof = pl.solve_fixed_point(protein, np.array([0.1, 8.0]), u, 1.2, grid)
+    props = _cell_propagators(protein, prof, u, 1.2)
     tm = pl.transition_matrix(protein, prof, u, 1.2)
-    ref = pl.q1_profile(protein, prof, tm, float(u(0.0)))
-    fast = q1_scan(protein, prof, u, 1.2, float(u(0.0)))
-    assert np.abs(ref - fast).max() < 1e-10
+    assert tm.shape == (grid.n_points, 2, 2)
+    assert np.array_equal(tm[0], np.eye(2))
+    defect = np.abs(tm[1:] - props @ tm[:-1]).max()
+    assert defect < 1e-12 * np.abs(tm).max()
 
 
 def test_uniform_predictor_bound_holds(protein):

@@ -163,7 +163,7 @@ def test_hessian_fallback_matches_analytic_zero(linear):
         jacobian_input=linear.jacobian_input, controller=linear.controller,
         controller_grad=linear.controller_grad, lyapunov=linear.lyapunov,
         setpoint=linear.setpoint, x_lo=linear.x_lo, x_hi=linear.x_hi,
-        u_bound=linear.u_bound, constants=linear.constants)
+        u_bound=linear.u_bound, C_f=linear.C_f)
     assert np.abs(fallback.hessian_or_fd(X)).max() < 1e-6
 
 
