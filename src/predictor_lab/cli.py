@@ -141,6 +141,10 @@ def cmd_simulate(args) -> int:
 def cmd_gen_dataset(args) -> int:
     config = load_config_file(args.config) if args.config else {}
     system = merged(args, config, "system", str, "protein")
+    if system not in DATASET_PRESETS:
+        print(f"error: unknown system {system!r}; known: "
+              f"{', '.join(DATASET_PRESETS)}", file=_sys.stderr)
+        return EXIT_USAGE
     preset = DATASET_PRESETS[system]
     sim_preset = SIM_PRESETS[system]
     ranges = ds.SampleRanges(

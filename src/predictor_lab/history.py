@@ -22,7 +22,7 @@ class HistoryWindowError(ValueError):
 
 
 class InputHistory:
-    """Fixed-capacity circular record of (time, U) samples on a uniform grid.
+    """Fixed-capacity record of (time, U) samples on a uniform grid.
 
     The buffer is pre-filled with ``fill`` (an idle actuator) so that delayed
     lookups are valid from the first step.  Single writer; reads never mutate.
@@ -39,9 +39,9 @@ class InputHistory:
         self.window_length = n_window * self.sample_period
         self._capacity = n_window + 1 + GUARD_SAMPLES
         self._origin = float(t0)
+        # oldest to newest (guards included); a push slides it by one
         self._values = np.full(self._capacity, float(fill))
         self._newest = 0  # absolute step index of the newest sample
-        self._cache = {}  # per-push memo of ordered/derivative views
 
     @property
     def current_time(self) -> float:
@@ -51,9 +51,6 @@ class InputHistory:
     def window_start(self) -> float:
         return self.current_time - self.window_length
 
-    def _index_of(self, k: int) -> int:
-        return k % self._capacity
-
     def push(self, t: float, value: float) -> None:
         """Append the control applied at time t; t must advance by one period."""
         expected = self._origin + (self._newest + 1) * self.sample_period
@@ -61,14 +58,8 @@ class InputHistory:
             raise ValueError(
                 f"non-uniform push: got t={t!r}, expected {expected!r}")
         self._newest += 1
-        self._values[self._index_of(self._newest)] = float(value)
-        ordered = self._cache.get("ordered")
-        self._cache.clear()
-        if ordered is not None:
-            # slide the memoized chronological view instead of rebuilding
-            ordered[:-1] = ordered[1:]
-            ordered[-1] = value
-            self._cache["ordered"] = ordered
+        self._values[:-1] = self._values[1:]
+        self._values[-1] = float(value)
 
     def _positions(self, times):
         """Fractional grid positions of query times, validated to the window."""
@@ -84,18 +75,10 @@ class InputHistory:
         return (times - self._origin) / self.sample_period - (
             self._newest - (self._capacity - 1))
 
-    def _ordered(self) -> np.ndarray:
-        """Stored values ordered oldest to newest (guards included)."""
-        if "ordered" not in self._cache:
-            ks = np.arange(self._newest - (self._capacity - 1),
-                           self._newest + 1)
-            self._cache["ordered"] = self._values[ks % self._capacity]
-        return self._cache["ordered"]
-
     def sample(self, t):
         """U at time(s) t by linear interpolation; scalar in, scalar out."""
         pos = self._positions(t)
-        vals = self._ordered()
+        vals = self._values
         i0 = np.clip(np.floor(pos).astype(int), 0, self._capacity - 2)
         frac = pos - i0
         out = vals[i0] * (1.0 - frac) + vals[i0 + 1] * frac
@@ -103,27 +86,13 @@ class InputHistory:
 
     def _derivative_nodes(self) -> np.ndarray:
         """dU/dt at every stored node: centered interior, one-sided ends."""
-        if "d1" not in self._cache:
-            v = self._ordered()
-            dt = self.sample_period
-            d = np.empty_like(v)
-            d[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-            d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-            d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-            self._cache["d1"] = d
-        return self._cache["d1"]
-
-    def _second_derivative_nodes(self) -> np.ndarray:
-        """d2U/dt2 via 3-point second differences (one-sided at the ends)."""
-        if "d2" not in self._cache:
-            v = self._ordered()
-            dt2 = self.sample_period ** 2
-            d = np.empty_like(v)
-            d[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt2
-            d[0] = (v[2] - 2.0 * v[1] + v[0]) / dt2
-            d[-1] = (v[-1] - 2.0 * v[-2] + v[-3]) / dt2
-            self._cache["d2"] = d
-        return self._cache["d2"]
+        v = self._values
+        dt = self.sample_period
+        d = np.empty_like(v)
+        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
+        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+        return d
 
     def sample_derivative(self, t):
         """dU/dt at time(s) t, interpolated between the node stencils."""
@@ -139,7 +108,7 @@ class InputHistory:
         times = self._origin + ks * self.sample_period
         with open(path, "w") as fh:
             fh.write("time,U\n")
-            for t, v in zip(times, self._ordered()):
+            for t, v in zip(times, self._values):
                 fh.write(f"{t!r},{v!r}\n")
 
 
@@ -183,6 +152,48 @@ def distributed_input_xderiv(h: InputHistory, delay: float, x):
     return delay * (d if x.ndim else float(d))
 
 
+def _window_integrals(record: np.ndarray, dt: float, horizons) -> dict:
+    """Trapezoid integrals of U^2, |U|, |dU/dt|, |d2U/dt2| over sliding windows.
+
+    Window k is ``record[k:k + C]``, C = len(record) - len(horizons) + 1, over
+    its last ``horizons[k]`` seconds; its derivative nodes are centred except
+    the one-sided newest.  Each window is summed on its own: differences of
+    one running sum lose relative precision once U has decayed.
+    """
+    v = np.asarray(record, dtype=float)
+    width = len(v) - len(horizons) + 1
+    newest = np.arange(len(horizons)) + (width - 1)
+    pos_start = (width - 1) - np.asarray(horizons, dtype=float) / dt
+    k_first = np.ceil(pos_start - 1e-12).astype(int)
+    frac_width = (k_first - pos_start) * dt  # [0, dt): partial first cell
+    partial = (frac_width > 1e-15) & (k_first > 0)
+    w = pos_start - (k_first - 1)
+    lo = newest - (width - 1) + k_first  # record index of the first node
+    pairs = np.stack([lo, newest], axis=1).ravel()
+    d1, d2 = np.zeros_like(v), np.zeros_like(v)
+    d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt ** 2
+    d1_newest = (3.0 * v[newest] - 4.0 * v[newest - 1]
+                 + v[newest - 2]) / (2.0 * dt)
+
+    def integrate(nodes, newest_node, transform):
+        y, y_new = transform(nodes), transform(newest_node)
+        inner = np.where(lo < newest, np.add.reduceat(y, pairs)[::2], 0.0)
+        y_lo = np.where(lo < newest, y[lo], y_new)
+        total = dt * (inner + y_new - 0.5 * (y_lo + y_new))
+        # interpolate the signal at t-horizon, then transform
+        y0 = transform(nodes[lo - 1] * (1.0 - w)
+                       + np.where(lo < newest, nodes[lo], newest_node) * w)
+        return total + np.where(partial, 0.5 * frac_width * (y0 + y_lo), 0.0)
+
+    # the one-sided second difference at the newest node is the centred
+    # one a node earlier
+    return {"int_U2": integrate(v, v[newest], np.square),
+            "int_absU": integrate(v, v[newest], np.abs),
+            "int_absUdot": integrate(d1, d1_newest, np.abs),
+            "int_absUddot": integrate(d2, d2[newest - 1], np.abs)}
+
+
 def window_functionals(h: InputHistory, horizon: float) -> dict:
     """Trapezoid integrals of U^2, |U|, |dU/dt|, |d2U/dt2| over [t-horizon, t]."""
     if horizon < 0.0:
@@ -191,28 +202,17 @@ def window_functionals(h: InputHistory, horizon: float) -> dict:
         raise HistoryWindowError(
             f"horizon {horizon!r} exceeds recorded window {h.window_length!r}",
             earliest=h.window_start, latest=h.current_time)
-    dt = h.sample_period
-    pos_start = (h._capacity - 1) - horizon / dt
-    k_first = int(np.ceil(pos_start - 1e-12))
-    frac_width = (k_first - pos_start) * dt  # [0, dt): partial first cell
+    w = _window_integrals(h._values, h.sample_period, [horizon])
+    return {name: float(value[0]) for name, value in w.items()}
 
-    vals = h._ordered()
-    d1 = h._derivative_nodes()
-    d2 = h._second_derivative_nodes()
 
-    def integrate(nodes, transform):
-        y = transform(nodes[k_first:])
-        total = dt * (y.sum() - 0.5 * (y[0] + y[-1]))
-        if frac_width > 1e-15 and k_first > 0:
-            # interpolate the signal at t-horizon, then transform
-            w = (pos_start - (k_first - 1))
-            y0 = transform(nodes[k_first - 1] * (1.0 - w) + nodes[k_first] * w)
-            total += 0.5 * frac_width * (y0 + y[0])
-        return float(total)
+def run_window_functionals(h: InputHistory, pushed, horizons) -> dict:
+    """``window_functionals(h, horizons[k])`` as read after each push.
 
-    return {
-        "int_U2": integrate(vals, np.square),
-        "int_absU": integrate(vals, np.abs),
-        "int_absUdot": integrate(d1, np.abs),
-        "int_absUddot": integrate(d2, np.abs),
-    }
+    ``h`` started idle at zero and then received exactly the values
+    ``pushed`` (as ``simulation.run`` builds it); entry k of each returned
+    array is the window integral right after ``pushed[k]``.
+    """
+    record = np.concatenate([np.zeros(h._capacity - 1),
+                             np.asarray(pushed, dtype=float)])
+    return _window_integrals(record, h.sample_period, horizons)

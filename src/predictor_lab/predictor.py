@@ -9,7 +9,9 @@ verify suites and the tests compare Picard against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,9 +42,11 @@ class PredictorGrid:
     def dx(self) -> float:
         return 1.0 / (self.n_points - 1)
 
-    @property
+    @cached_property
     def points(self) -> np.ndarray:
-        return np.linspace(0.0, 1.0, self.n_points)
+        xs = np.linspace(0.0, 1.0, self.n_points)
+        xs.flags.writeable = False
+        return xs
 
 
 @dataclass
@@ -96,14 +100,14 @@ def solve_fixed_point(sys: SystemModel, X, u_sampler: Callable, delay: float,
     step = np.inf
     for k in range(1, max_iter + 1):
         g = sys.dynamics(p, u_nodes)
-        if not np.all(np.isfinite(g)):
-            raise PredictorError(
-                f"divergence: non-finite dynamics at iteration {k}",
-                iterations=k)
         p_next = np.empty_like(p)
         p_next[0] = X
         p_next[1:] = X + _trapezoid_cumsum(g, hfac)
         step = float(np.abs(p_next - p).max())
+        if not math.isfinite(step):
+            raise PredictorError(
+                f"divergence: non-finite iterate at iteration {k}",
+                iterations=k)
         p = p_next
         if step < tol:
             res = integral_residual(sys, p, u_nodes, delay, grid.dx)
@@ -147,22 +151,19 @@ def solve_ode_march(sys: SystemModel, X, u_sampler: Callable, delay: float,
 def _cell_propagators(sys: SystemModel, profile: PredictorProfile,
                       u_sampler: Callable, delay: float) -> np.ndarray:
     """Per-cell 4th-order propagators of dr/dx = delay * (df/dp) r."""
-    grid = profile.grid
-    xs = grid.points
-    h = grid.dx
-    n = sys.state_dim
+    xs = profile.grid.points
+    h = profile.grid.dx
     p = profile.values
     p_mid = 0.5 * (p[:-1] + p[1:])
-    u_lo = np.asarray(u_sampler(xs), dtype=float)
-    u_mid = np.asarray(u_sampler(np.clip(xs[:-1] + 0.5 * h, 0.0, 1.0)),
-                       dtype=float)
-
-    A_lo = delay * sys.jacobian_state(p, u_lo)          # (N, n, n)
-    A_mid = delay * sys.jacobian_state(p_mid, u_mid)    # (N-1, n, n)
-    if not (np.all(np.isfinite(A_lo)) and np.all(np.isfinite(A_mid))):
+    # nodes and cell midpoints in one history read and one Jacobian call
+    u = np.asarray(u_sampler(np.concatenate(
+        [xs, np.clip(xs[:-1] + 0.5 * h, 0.0, 1.0)])), dtype=float)
+    A = delay * sys.jacobian_state(np.concatenate([p, p_mid]), u)
+    if not np.all(np.isfinite(A)):
         raise PredictorError("non-finite Jacobian along the predictor curve")
+    A_lo, A_mid = np.split(A, [len(p)])                 # (N | N-1, n, n)
 
-    eye = np.eye(n)
+    eye = np.eye(sys.state_dim)
     # one 4th-order step applied to the identity, batched over cells
     k1 = A_lo[:-1]
     k2 = A_mid @ (eye + 0.5 * h * k1)

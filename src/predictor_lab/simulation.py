@@ -14,7 +14,8 @@ from .adaptation import (LAW_CHOICES, AdaptationState,
                          estimated_input_profile, phi_measured,
                          phi_unmeasured, step_delay_estimate)
 from .history import (InputHistory, delayed_input_sampler,
-                      distributed_input_xderiv, window_functionals)
+                      distributed_input_xderiv, run_window_functionals,
+                      window_functionals)
 from .neural_operator import NeuralOperatorModel, forward, load_model
 from .predictor import (PredictorError, PredictorGrid, PredictorProfile,
                         integral_residual, q1_scan, solve_fixed_point)
@@ -81,6 +82,10 @@ class SimulationConfig:
 
 @dataclass
 class SimulationTrace:
+    """Per-step record of one closed-loop run.  No control decision reads
+    the diagnostics ``gamma_fn``/``upsilon_fn``: ``run`` fills them after its
+    loop from U, X and d_hat."""
+
     t: np.ndarray
     X: np.ndarray              # (K, n)
     U: np.ndarray              # applied (clipped) control
@@ -116,21 +121,28 @@ class SimulationTrace:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
+def _gamma(dX, w, d_true, d_hat):
+    return (dX * dX).sum(axis=-1) + w["int_U2"] + (d_true - d_hat) ** 2
+
+
+def _upsilon(dX, w, d_true, d_hat):
+    return (np.sqrt((dX * dX).sum(axis=-1)) + w["int_absU"]
+            + w["int_absUdot"] + w["int_absUddot"] + (d_true - d_hat) ** 2)
+
+
 def gamma_functional(sys: SystemModel, X, h: InputHistory, d_true: float,
                      d_hat: float) -> float:
     """|X - X*|^2 + int_{t-D}^t U^2 + (D - d_hat)^2 (measured-case diagnostic)."""
     dX = np.asarray(X, dtype=float) - sys.setpoint
-    w = window_functionals(h, d_true)
-    return float(dX @ dX + w["int_U2"] + (d_true - d_hat) ** 2)
+    return float(_gamma(dX, window_functionals(h, d_true), d_true, d_hat))
 
 
 def upsilon_functional(sys: SystemModel, X, h: InputHistory, d_true: float,
                        d_hat: float) -> float:
     """|X - X*| + L1 norms of U, dU, ddU over max(D, d_hat) + (D - d_hat)^2."""
     dX = np.asarray(X, dtype=float) - sys.setpoint
-    w = window_functionals(h, max(d_true, d_hat))
-    return float(np.sqrt(dX @ dX) + w["int_absU"] + w["int_absUdot"]
-                 + w["int_absUddot"] + (d_true - d_hat) ** 2)
+    return float(_upsilon(dX, window_functionals(h, max(d_true, d_hat)),
+                          d_true, d_hat))
 
 
 def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
@@ -139,7 +151,9 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
     """Explicit-Euler closed loop per the configured predictor and law.
 
     ``on_step(k, t, X, hist, d_hat, profile)`` fires after the control push
-    each step; dataset harvesting hangs off it.
+    each step; dataset harvesting hangs off it.  The diagnostics
+    ``gamma_fn``/``upsilon_fn`` are filled from the recorded U, X and d_hat
+    after the loop, so ``on_step`` cannot read them.
     """
     cfg.validate()
     sys = system if system is not None else make_system(
@@ -168,8 +182,7 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
     K = n_steps
     out = {name: np.zeros(K) for name in
            ("t", "U", "U_unclipped", "U_arriving", "d_hat", "phi",
-            "gamma_fn", "upsilon_fn", "pred_residual", "pred_time_s",
-            "wall_time_s")}
+            "pred_residual", "pred_time_s", "wall_time_s")}
     Xs = np.zeros((K, sys.state_dim))
     diverged = False
     div_step = None
@@ -225,10 +238,12 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         hist.push(t, U)
 
         phi = 0.0
+        u_arriving = None
         if cfg.law != "frozen" and profile is not None:
             try:
                 if cfg.law == "measured":
                     u_nodes = hist.sample(t + cfg.d_true * (grid.points - 1.0))
+                    u_arriving = float(u_nodes[0])  # x = 0 is t - D
                     w = u_nodes - sys.controller(profile.values)
                     post_sampler = delayed_input_sampler(hist, t, cfg.d_true)
                     q1 = q1_scan(sys, profile, post_sampler, d_hat,
@@ -244,7 +259,8 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
             except (PredictorError, FloatingPointError):
                 phi = 0.0
 
-        u_arriving = hist.sample(t - cfg.d_true)
+        if u_arriving is None:
+            u_arriving = hist.sample(t - cfg.d_true)
 
         out["t"][k] = t
         Xs[k] = X
@@ -253,9 +269,6 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         out["U_arriving"][k] = u_arriving
         out["d_hat"][k] = d_hat
         out["phi"][k] = phi
-        out["gamma_fn"][k] = gamma_functional(sys, X, hist, cfg.d_true, d_hat)
-        out["upsilon_fn"][k] = upsilon_functional(sys, X, hist, cfg.d_true,
-                                                  d_hat)
         out["pred_residual"][k] = residual
         out["pred_time_s"][k] = solve_time
         out["wall_time_s"][k] = time.perf_counter() - t_start
@@ -273,15 +286,14 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
             K = k + 1
             break
 
-    sel = slice(0, K)
+    out = {name: column[:K] for name, column in out.items()}
+    dX = Xs[:K] - sys.setpoint
+    w_gamma = run_window_functionals(hist, out["U"], np.full(K, cfg.d_true))
+    w_upsilon = run_window_functionals(hist, out["U"],
+                                       np.maximum(cfg.d_true, out["d_hat"]))
     return SimulationTrace(
-        t=out["t"][sel], X=Xs[sel], U=out["U"][sel],
-        U_unclipped=out["U_unclipped"][sel],
-        U_arriving=out["U_arriving"][sel], d_hat=out["d_hat"][sel],
-        phi=out["phi"][sel], gamma_fn=out["gamma_fn"][sel],
-        upsilon_fn=out["upsilon_fn"][sel],
-        pred_residual=out["pred_residual"][sel],
-        pred_time_s=out["pred_time_s"][sel],
-        wall_time_s=out["wall_time_s"][sel],
+        X=Xs[:K], **out,
+        gamma_fn=_gamma(dX, w_gamma, cfg.d_true, out["d_hat"]),
+        upsilon_fn=_upsilon(dX, w_upsilon, cfg.d_true, out["d_hat"]),
         diverged=diverged, divergence_step=div_step, config=cfg,
         meta={"system": sys.name, "setpoint": sys.setpoint.tolist()})

@@ -64,15 +64,13 @@ class SystemModel:
         if self.controller_hessian is not None:
             return self.controller_hessian(X)
         X = np.asarray(X, dtype=float)
-        n = self.state_dim
         h = 1e-5 * (1.0 + np.linalg.norm(X, axis=-1))
-        out = np.zeros(X.shape[:-1] + (n, n))
-        eye = np.eye(n)
-        for i in range(n):
-            step = h[..., None] * eye[i]
-            gp = self.controller_grad(X + step)
-            gm = self.controller_grad(X - step)
-            out[..., i, :] = (gp - gm) / (2.0 * h[..., None])
+        # row i of each (n, n) block is a step of h along axis i; one
+        # controller_grad call takes both signs of every step
+        steps = h[..., None, None] * np.eye(self.state_dim)
+        g = self.controller_grad(np.stack([X[..., None, :] + steps,
+                                           X[..., None, :] - steps]))
+        out = (g[0] - g[1]) / (2.0 * h[..., None, None])
         # symmetrize: FD of the gradient need not be exactly symmetric
         return 0.5 * (out + np.swapaxes(out, -1, -2))
 

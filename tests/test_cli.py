@@ -64,6 +64,18 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_gen_dataset_unknown_system_in_config(tmp_path, capsys):
+    cfg = tmp_path / "gen.cfg"
+    cfg.write_text("system=bogus\nn=4\n")
+    code = run_cli(["gen-dataset", "--config", str(cfg),
+                    "--out", str(tmp_path / "d.bin")])
+    assert code == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "'bogus'" in err
+    assert all(name in err for name in cli.DATASET_PRESETS)
+    assert not (tmp_path / "d.bin").exists()
+
+
 def test_config_file_bad_line(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("this is not a key value pair\n")

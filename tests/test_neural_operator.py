@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 import predictor_lab as pl
 from predictor_lab import neural_operator as no
 
-from conftest import make_oracle_linear_dataset
+from linear_oracle import make_oracle_linear_dataset
 
 
 def small_model(seed=0, n=2, m=9, d_c=6, layers=2):

@@ -9,7 +9,7 @@ from predictor_lab.predictor import PredictorError, _cell_propagators
 from predictor_lab.systems import SystemModel
 from predictor_lab.verify import linear_closed_form, random_profile
 
-from conftest import LINEAR_A, LINEAR_B
+from linear_oracle import LINEAR_A, LINEAR_B
 
 
 def toy_system(dynamics, jacobian_state, n=1, controller=None,
@@ -42,6 +42,16 @@ def test_grid_invariants():
     assert np.allclose(np.diff(xs), grid.dx)
     with pytest.raises(ValueError):
         pl.PredictorGrid(1)
+
+
+def test_grid_points_built_once_and_read_only():
+    grid = pl.PredictorGrid(11)
+    xs = grid.points
+    assert grid.points is xs
+    assert np.array_equal(xs, np.linspace(0.0, 1.0, 11))
+    with pytest.raises(ValueError, match="read-only"):
+        xs[0] = 0.5
+    assert grid == pl.PredictorGrid(11)
 
 
 def test_fixed_point_zero_dynamics_one_iteration():

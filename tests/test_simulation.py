@@ -176,3 +176,77 @@ def test_trace_csv_format(tmp_path, protein):
     data = np.loadtxt(path, delimiter=",", skiprows=1)
     assert data.shape == (tr.n_steps, 10)
     assert np.allclose(data[:, 1:3], tr.X)
+
+
+def _window_functionals_per_step(h, horizon):
+    """Reference: the one-window arithmetic ``run`` used to repeat per step."""
+    dt = h.sample_period
+    v = h._values
+    d1 = np.empty_like(v)
+    d1[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+    d1[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
+    d1[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+    d2 = np.empty_like(v)
+    d2[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / dt ** 2
+    d2[0] = (v[2] - 2.0 * v[1] + v[0]) / dt ** 2
+    d2[-1] = (v[-1] - 2.0 * v[-2] + v[-3]) / dt ** 2
+    pos_start = (len(v) - 1) - horizon / dt
+    k_first = int(np.ceil(pos_start - 1e-12))
+    frac_width = (k_first - pos_start) * dt
+
+    def integrate(nodes, transform):
+        y = transform(nodes[k_first:])
+        total = dt * (y.sum() - 0.5 * (y[0] + y[-1]))
+        if frac_width > 1e-15 and k_first > 0:
+            w = pos_start - (k_first - 1)
+            y0 = transform(nodes[k_first - 1] * (1.0 - w) + nodes[k_first] * w)
+            total += 0.5 * frac_width * (y0 + y[0])
+        return total
+
+    return (integrate(v, np.square), integrate(v, np.abs),
+            integrate(d1, np.abs), integrate(d2, np.abs))
+
+
+def _run_with_replayed_diagnostics(cfg, system=None):
+    """Run ``cfg`` and recompute Gamma/Upsilon step by step from on_step."""
+    sys = system or pl.make_system(cfg.system, a=cfg.linear_a,
+                                   b_in=cfg.linear_b)
+    gamma, upsilon = [], []
+
+    def on_step(k, t, X, hist, d_hat, profile):
+        dX = X - sys.setpoint
+        tilde2 = (cfg.d_true - d_hat) ** 2
+        u2, _, _, _ = _window_functionals_per_step(hist, cfg.d_true)
+        _, absu, absud, absudd = _window_functionals_per_step(
+            hist, max(cfg.d_true, d_hat))
+        gamma.append(dX @ dX + u2 + tilde2)
+        upsilon.append(np.sqrt(dX @ dX) + absu + absud + absudd + tilde2)
+
+    tr = pl.run(cfg, system=sys, on_step=on_step)
+    return tr, np.array(gamma), np.array(upsilon)
+
+
+@pytest.mark.parametrize("cfg", [
+    pl.SimulationConfig(system="protein", x0=(0.03, 30.0), d_true=1.0,
+                        d_hat0=1.5, gamma=100.0, dt=2e-3, t_final=1.6,
+                        law="measured", grid_points=41),
+    # d_hat starts above D and falls below it: Upsilon's horizon switches
+    pl.SimulationConfig(system="chemostat", x0=(2.0, 2.0), d_true=1.6,
+                        d_hat0=1.62, d_min=1.0, d_max=2.2, gamma=0.2,
+                        dt=2e-3, t_final=2.0, law="unmeasured",
+                        grid_points=41),
+    pl.SimulationConfig(system="linear", linear_a=5.0, x0=(1.0,),
+                        d_true=0.5, d_hat0=0.5, d_min=0.2, d_max=1.0,
+                        gamma=0.0, dt=1e-3, t_final=12.0, predictor="none",
+                        uncompensated=True, law="frozen"),
+], ids=["protein-measured", "chemostat-crossing", "linear-diverging"])
+def test_diagnostics_after_run_match_per_step_replay(cfg):
+    tr, gamma, upsilon = _run_with_replayed_diagnostics(cfg)
+    if cfg.system == "chemostat":
+        above = tr.d_hat > cfg.d_true
+        assert above.any() and not above.all()
+    if cfg.system == "linear":
+        assert tr.diverged and len(tr.gamma_fn) == tr.n_steps
+    assert np.abs(tr.U).max() > 0.0
+    np.testing.assert_allclose(tr.gamma_fn, gamma, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(tr.upsilon_fn, upsilon, rtol=1e-12, atol=0.0)

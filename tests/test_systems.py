@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import solve_ivp
 
 import predictor_lab as pl
-from predictor_lab.systems import growth_rate, hill_f1, hill_f2
+from predictor_lab.systems import CHEMOSTAT, growth_rate, hill_f1, hill_f2
 
 PAPER_PROTEIN_EQ = np.array([0.0939, 5.2525])
 PAPER_CHEMOSTAT_EQ = np.array([3.0, 2.0])
@@ -165,6 +165,31 @@ def test_hessian_fallback_matches_analytic_zero(linear):
         setpoint=linear.setpoint, x_lo=linear.x_lo, x_hi=linear.x_hi,
         u_bound=linear.u_bound, C_f=linear.C_f)
     assert np.abs(fallback.hessian_or_fd(X)).max() < 1e-6
+
+
+def _hessian_fd_per_axis(sys, X):
+    """Reference: central differences of the gradient, one axis at a time."""
+    X = np.asarray(X, dtype=float)
+    n = sys.state_dim
+    h = 1e-5 * (1.0 + np.linalg.norm(X, axis=-1))
+    out = np.zeros(X.shape[:-1] + (n, n))
+    eye = np.eye(n)
+    for i in range(n):
+        step = h[..., None] * eye[i]
+        gp = sys.controller_grad(X + step)
+        gm = sys.controller_grad(X - step)
+        out[..., i, :] = (gp - gm) / (2.0 * h[..., None])
+    return 0.5 * (out + np.swapaxes(out, -1, -2))
+
+
+@pytest.mark.parametrize("name", ["protein", "chemostat"])
+def test_hessian_fd_matches_per_axis_loop(name, protein, chemostat):
+    sys = {"protein": protein, "chemostat": chemostat}[name]
+    states = sys.sample_states(500, np.random.default_rng(7))
+    kink = states[:50].copy()
+    kink[:, 1] = CHEMOSTAT["S_star"]  # the chemostat controller's kink
+    for X in (states, states[0], kink, kink[0]):
+        assert np.array_equal(sys.hessian_or_fd(X), _hessian_fd_per_axis(sys, X))
 
 
 def test_protein_hessian_fd_is_symmetric(protein):
