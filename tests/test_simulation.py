@@ -207,10 +207,9 @@ def _window_functionals_per_step(h, horizon):
             integrate(d1, np.abs), integrate(d2, np.abs))
 
 
-def _run_with_replayed_diagnostics(cfg, system=None):
+def _run_with_replayed_diagnostics(cfg):
     """Run ``cfg`` and recompute Gamma/Upsilon step by step from on_step."""
-    sys = system or pl.make_system(cfg.system, a=cfg.linear_a,
-                                   b_in=cfg.linear_b)
+    sys = pl.make_system(cfg.system, a=cfg.linear_a, b_in=cfg.linear_b)
     gamma, upsilon = [], []
 
     def on_step(k, t, X, hist, d_hat, profile):
