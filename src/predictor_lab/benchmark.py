@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import time
 from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
@@ -22,7 +24,12 @@ class BenchCell:
     mean_s: float
     std_s: float
     speedup: float
-    failed: bool = False
+    error: Optional[str] = None         # "ExceptionType: message" of a failure
+    corpus_index: Optional[int] = None  # corpus input whose solve failed
+
+    @property
+    def failed(self) -> bool:
+        return self.error is not None
 
 
 @dataclass
@@ -97,15 +104,28 @@ def corpus_hash(corpus: dict) -> str:
     return h.hexdigest()[:16]
 
 
-def _timed(fn, n_trials: int, warmup: int):
-    for i in range(warmup):
-        fn(i)
-    times = np.empty(n_trials)
-    for i in range(n_trials):
-        tic = time.perf_counter()
-        fn(i)
-        times[i] = time.perf_counter() - tic
-    return float(times.mean()), float(times.std())
+class _CallFailed(Exception):
+    def __init__(self, index: int, cause: Exception):
+        super().__init__(index, cause)
+        self.index = index
+        self.cause = cause
+
+
+def _timed(fn, count: int, n_trials: int, warmup: int):
+    """Mean and std of n_trials timed calls fn(j) after warmup untimed ones,
+    j cycling through the corpus indices 0..count-1.  A failing call raises
+    _CallFailed with its index."""
+    times = np.empty(warmup + n_trials)
+    for i, k in enumerate(itertools.chain(range(warmup), range(n_trials))):
+        j = k % count
+        try:
+            tic = time.perf_counter()
+            fn(j)
+            times[i] = time.perf_counter() - tic
+        except Exception as exc:
+            raise _CallFailed(j, exc) from exc
+    timed = times[warmup:]
+    return float(timed.mean()), float(timed.std())
 
 
 def benchmark_predictors(sys: SystemModel, backends: list, dx_list: list,
@@ -116,20 +136,20 @@ def benchmark_predictors(sys: SystemModel, backends: list, dx_list: list,
     """Mean solve wall-time per (dx, backend) cell over a shared corpus.
 
     Only the solve is timed; input resampling onto each backend's grid is
-    precomputed.  A failing backend marks its cell and the run continues.
+    precomputed.  A failing backend marks its cell with the exception and
+    the corpus index that raised it, and the run continues.
     """
     if len(corpus["X"]) == 0:
         raise ValueError("empty benchmark corpus")
     if "neural" in backends and model is None:
         raise ValueError("neural backend requires a trained model")
+    grids = [PredictorGrid.from_dx(dx) for dx in dx_list]
     report = BenchReport(corpus_hash=corpus_hash(corpus), n_trials=n_trials)
     count = len(corpus["X"])
     X, d = corpus["X"], corpus["d"]
     x_fine, u_fine = corpus["x_fine"], corpus["u_fine"]
 
-    for dx in dx_list:
-        n_points = int(round(1.0 / dx)) + 1
-        grid = PredictorGrid(n_points)
+    for dx, grid in zip(dx_list, grids):
         u_nodes = np.array([np.interp(grid.points, x_fine, u_fine[i])
                             for i in range(count)])
         u_model = None
@@ -139,22 +159,22 @@ def benchmark_predictors(sys: SystemModel, backends: list, dx_list: list,
         numeric_mean = None
         for backend in backends:
             if backend == "numeric":
-                def fn(i, _g=grid):
-                    j = i % count
+                def fn(j, _g=grid):
                     solve_fixed_point(sys, X[j], lambda x: u_nodes[j], d[j],
                                       _g, tol=solver_tol)
             elif backend == "neural":
-                def fn(i, _g=grid):
-                    j = i % count
+                def fn(j, _g=grid):
                     forward(model, X[j], u_model[j], d[j], _g.points)
             else:
                 raise ValueError(f"unknown backend {backend!r}")
             try:
-                mean_s, std_s = _timed(fn, n_trials, warmup)
-            except Exception:
-                report.cells.append(BenchCell(backend=backend, dx=dx,
-                                              mean_s=np.nan, std_s=np.nan,
-                                              speedup=np.nan, failed=True))
+                mean_s, std_s = _timed(fn, count, n_trials, warmup)
+            except _CallFailed as failure:
+                cause = failure.cause
+                report.cells.append(BenchCell(
+                    backend=backend, dx=dx, mean_s=np.nan, std_s=np.nan,
+                    speedup=np.nan, corpus_index=failure.index,
+                    error=f"{type(cause).__name__}: {cause}"))
                 continue
             if backend == "numeric":
                 numeric_mean = mean_s

@@ -13,7 +13,7 @@ from . import benchmark as bench
 from . import dataset as ds
 from . import neural_operator as no
 from . import verify as verify_mod
-from .predictor import PredictorError
+from .predictor import PredictorError, PredictorGrid
 from .simulation import LAW_CHOICES, PREDICTOR_CHOICES, SimulationConfig, run
 from .systems import make_system
 
@@ -108,7 +108,7 @@ def cmd_simulate(args) -> int:
         t_final=get("tf", float, preset["t_final"]),
         predictor=get("predictor", str, "numeric_fixed_point"),
         law=get("law", str, preset["law"]),
-        grid_points=int(round(1.0 / get("dx", float, 0.005))) + 1,
+        grid_points=PredictorGrid.from_dx(get("dx", float, 0.005)).n_points,
         model_path=get("model", str, None),
         control_clip=get("clip", _floats, None),
         uncompensated=bool(get("uncompensated", bool, False)),
@@ -212,7 +212,8 @@ def cmd_benchmark(args) -> int:
     if args.out:
         report.write_csv(args.out)
     for cell in report.cells:
-        status = ("failed" if cell.failed
+        status = (f"failed on corpus input {cell.corpus_index}: {cell.error}"
+                  if cell.failed
                   else f"{cell.mean_s * 1e3:8.3f} ms  "
                        f"(speedup {cell.speedup:6.2f}x)")
         print(f"dx={cell.dx:<7g} {cell.backend:<8} {status}")

@@ -38,6 +38,17 @@ class PredictorGrid:
         if self.n_points < 2:
             raise ValueError("grid needs at least 2 points")
 
+    @classmethod
+    def from_dx(cls, dx: float) -> "PredictorGrid":
+        """The grid of round(1/dx) + 1 points; a ValueError names a ``dx``
+        that is not finite and positive or leaves fewer than 2 points."""
+        if not (math.isfinite(dx) and dx > 0.0):
+            raise ValueError(f"dx must be finite and positive, got {dx!r}")
+        n_points = int(round(1.0 / dx)) + 1
+        if n_points < 2:
+            raise ValueError(f"dx={dx!r} leaves fewer than 2 grid points")
+        return cls(n_points)
+
     @property
     def dx(self) -> float:
         return 1.0 / (self.n_points - 1)

@@ -27,6 +27,15 @@ def test_simulate_rejects_nonpositive_tf(capsys, tmp_path):
     assert "tf" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["simulate", "--system", "linear", "--tf", "0.01"],
+    ["benchmark", "--system", "linear", "--backends", "numeric"],
+])
+def test_zero_dx_is_a_usage_error(command, capsys):
+    assert run_cli(command + ["--dx", "0"]) == cli.EXIT_USAGE
+    assert "dx must be finite and positive, got 0.0" in capsys.readouterr().err
+
+
 def test_simulate_linear_writes_trace(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = run_cli(["simulate", "--system", "linear", "--predictor",

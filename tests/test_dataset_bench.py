@@ -178,8 +178,13 @@ def test_benchmark_failed_backend_marks_cell(linear, monkeypatch):
                                         10, corpus,
                                         model=pl.init_model(1, 11, 4, 1),
                                         warmup=2)
-    assert report.cell("neural", 0.02).failed
-    assert not report.cell("numeric", 0.02).failed
+    cell = report.cell("neural", 0.02)
+    assert cell.failed
+    assert cell.error == "RuntimeError: boom"
+    assert cell.corpus_index == 0  # the first warm-up call
+    numeric = report.cell("numeric", 0.02)
+    assert not numeric.failed
+    assert numeric.error is None and numeric.corpus_index is None
 
 
 def test_benchmark_csv_layout(tmp_path, linear):

@@ -1,10 +1,16 @@
 """Plant model invariants: formulas, equilibria, derivative consistency."""
 
+import subprocess
+import sys as _sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
+from scipy.optimize import fsolve
 
 import predictor_lab as pl
+from predictor_lab import systems
 from predictor_lab.systems import CHEMOSTAT, growth_rate, hill_f1, hill_f2
 
 PAPER_PROTEIN_EQ = np.array([0.0939, 5.2525])
@@ -218,3 +224,82 @@ def test_chemostat_positivity(chemostat):
     for u in u_seq:
         X = X + dt * chemostat.dynamics(X, u)
         assert X[0] > 0.0 and X[1] > 0.0
+
+
+def test_import_leaves_scipy_unloaded():
+    src = str(Path(pl.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import predictor_lab; print('scipy' in sys.modules)")
+    out = subprocess.run([_sys.executable, "-c", code, src], check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def _lipschitz_all_samples(jac_x, jac_u, x_lo, x_hi, u_bound, n):
+    """Reference: the spectral norm of every sample's J_x."""
+    rng = np.random.default_rng(systems._ESTIMATE_SEED)
+    X = rng.uniform(x_lo, x_hi, size=(systems._ESTIMATE_SAMPLES, n))
+    u = rng.uniform(-u_bound, u_bound, size=systems._ESTIMATE_SAMPLES)
+    jx_norm = np.linalg.norm(jac_x(X, u), ord=2, axis=(-2, -1))
+    ju_norm = np.linalg.norm(jac_u(X, u), axis=-1)
+    return float(np.maximum(jx_norm, ju_norm).max())
+
+
+@pytest.mark.parametrize("name", ["protein", "chemostat", "linear"])
+def test_pruned_lipschitz_matches_all_samples(name, request):
+    sys = request.getfixturevalue(name)
+    ref = _lipschitz_all_samples(sys.jacobian_state, sys.jacobian_input,
+                                 sys.x_lo, sys.x_hi, sys.u_bound,
+                                 sys.state_dim)
+    assert sys.C_f == ref
+
+
+def test_pruned_lipschitz_keeps_spectral_max_below_largest_frobenius():
+    # sample 0 has the largest Frobenius norm (sqrt 18) but spectral norm 3;
+    # sample 1 holds the spectral maximum 4 with Frobenius norm 4
+    def jac_x(X, u):
+        J = 0.1 * X[:, :, None] * X[:, None, :] + 0.05 * u[:, None, None]
+        J[0] = np.diag([3.0, 3.0])
+        J[1] = [[4.0, 0.0], [0.0, 0.0]]
+        return J
+
+    def jac_u(X, u):
+        return 0.5 * X
+
+    args = (jac_x, jac_u, np.zeros(2), np.ones(2), 1.0, 2)
+    ref = _lipschitz_all_samples(*args)
+    assert ref == 4.0
+    assert systems._estimate_lipschitz(*args) == ref
+
+
+def test_protein_setpoint_matches_fsolve(protein):
+    def residual(v):
+        x1, x2 = v
+        return [x1 - hill_f1(x1, x2), x2 - 2.0 * hill_f2(x1)]
+
+    ref = fsolve(residual, systems.PROTEIN_SETPOINT_NOMINAL, xtol=1e-14)
+    assert np.array_equal(protein.setpoint, ref)
+
+
+def test_chemostat_setpoint_matches_fsolve(chemostat):
+    def closed_loop(v):
+        v = np.asarray(v)
+        return chemostat.dynamics(v, chemostat.controller(v))
+
+    ref = fsolve(closed_loop, [CHEMOSTAT["Z_star"], CHEMOSTAT["S_star"]],
+                 xtol=1e-14)
+    assert np.all(np.abs(chemostat.setpoint - ref) <= np.spacing(np.abs(ref)))
+    assert (np.abs(closed_loop(chemostat.setpoint)).max()
+            <= np.abs(closed_loop(ref)).max())
+
+
+def test_newton_failure_names_the_plant(monkeypatch):
+    # a NaN Jacobian makes the first Newton iterate non-finite
+    monkeypatch.setattr(systems, "_hill_f1_grad",
+                        lambda x1, x2: (np.nan, np.nan))
+    with pytest.raises(RuntimeError, match="protein: .*non-finite"):
+        pl.make_system("protein")
+    # x^2 + 1 has no real root: Newton wanders until the iteration cap
+    with pytest.raises(RuntimeError, match="toy: .*did not converge"):
+        systems._newton_root("toy", lambda x: x ** 2 + 1.0,
+                             lambda x: np.array([[2.0 * x[0]]]), [0.5])
