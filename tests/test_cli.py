@@ -36,6 +36,19 @@ def test_zero_dx_is_a_usage_error(command, capsys):
     assert "dx must be finite and positive, got 0.0" in capsys.readouterr().err
 
 
+def test_benchmark_prints_why_a_cell_failed(monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli.bench, "solve_fixed_point", broken)
+    code = run_cli(["benchmark", "--system", "linear", "--backends",
+                    "numeric", "--dx", "0.05", "--trials", "2",
+                    "--corpus-size", "3"])
+    assert code == cli.EXIT_DOMAIN
+    assert ("numeric  failed on corpus input 0: RuntimeError: boom"
+            in capsys.readouterr().out)
+
+
 def test_simulate_linear_writes_trace(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = run_cli(["simulate", "--system", "linear", "--predictor",
