@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import InputHistory, distributed_input, distributed_input_xderiv
+from .history import InputHistory, distributed_input
 from .predictor import PredictorGrid, PredictorProfile
 from .systems import SystemModel
 

@@ -15,6 +15,8 @@ from .predictor import PredictorGrid, solve_fixed_point
 from .systems import SystemModel
 
 WARMUP_SOLVES = 50
+SOLVER_TOL = 1e-10     # Picard tolerance of the numeric backend
+FINE_POINTS = 2001     # corpus control profiles are stored on this grid
 
 
 @dataclass
@@ -36,7 +38,6 @@ class BenchCell:
 class BenchReport:
     cells: list = field(default_factory=list)
     corpus_hash: str = ""
-    n_trials: int = 0
 
     def cell(self, backend: str, dx: float) -> BenchCell:
         for c in self.cells:
@@ -72,8 +73,8 @@ class BenchReport:
                 fh.write(",".join(row) + "\n")
 
 
-def make_corpus(sys: SystemModel, count: int, d_range: tuple, seed: int = 0,
-                fine_points: int = 2001) -> dict:
+def make_corpus(sys: SystemModel, count: int, d_range: tuple,
+                seed: int = 0) -> dict:
     """Random states, smooth control profiles and delays for benchmarking.
 
     Profiles are short random Fourier series scaled inside the system's
@@ -82,8 +83,8 @@ def make_corpus(sys: SystemModel, count: int, d_range: tuple, seed: int = 0,
     rng = np.random.default_rng(seed)
     X = sys.sample_states(count, rng)
     d = rng.uniform(d_range[0], d_range[1], size=count)
-    xs = np.linspace(0.0, 1.0, fine_points)
-    u = np.zeros((count, fine_points))
+    xs = np.linspace(0.0, 1.0, FINE_POINTS)
+    u = np.zeros((count, FINE_POINTS))
     amp = 0.4 * sys.u_bound
     center = float(sys.controller(sys.setpoint))
     for i in range(count):
@@ -131,20 +132,21 @@ def _timed(fn, count: int, n_trials: int, warmup: int):
 def benchmark_predictors(sys: SystemModel, backends: list, dx_list: list,
                          n_trials: int, corpus: dict,
                          model: NeuralOperatorModel = None,
-                         warmup: int = WARMUP_SOLVES,
-                         solver_tol: float = 1e-10) -> BenchReport:
+                         warmup: int = WARMUP_SOLVES) -> BenchReport:
     """Mean solve wall-time per (dx, backend) cell over a shared corpus.
 
     Only the solve is timed; input resampling onto each backend's grid is
     precomputed.  A failing backend marks its cell with the exception and
     the corpus index that raised it, and the run continues.
     """
+    if n_trials < 1:
+        raise ValueError(f"trials={n_trials} must be at least 1")
     if len(corpus["X"]) == 0:
         raise ValueError("empty benchmark corpus")
     if "neural" in backends and model is None:
         raise ValueError("neural backend requires a trained model")
     grids = [PredictorGrid.from_dx(dx) for dx in dx_list]
-    report = BenchReport(corpus_hash=corpus_hash(corpus), n_trials=n_trials)
+    report = BenchReport(corpus_hash=corpus_hash(corpus))
     count = len(corpus["X"])
     X, d = corpus["X"], corpus["d"]
     x_fine, u_fine = corpus["x_fine"], corpus["u_fine"]
@@ -161,7 +163,7 @@ def benchmark_predictors(sys: SystemModel, backends: list, dx_list: list,
             if backend == "numeric":
                 def fn(j, _g=grid):
                     solve_fixed_point(sys, X[j], lambda x: u_nodes[j], d[j],
-                                      _g, tol=solver_tol)
+                                      _g, tol=SOLVER_TOL)
             elif backend == "neural":
                 def fn(j, _g=grid):
                     forward(model, X[j], u_model[j], d[j], _g.points)

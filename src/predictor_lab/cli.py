@@ -1,4 +1,11 @@
-"""Command-line entry point: simulate, gen-dataset, train, benchmark, verify."""
+"""Command-line entry point: simulate, gen-dataset, train, benchmark, verify.
+
+``--config FILE`` reads a flat key=value file in which each key is the name
+of one of the subcommand's flags without its dashes (``tf=3`` is ``--tf 3``,
+``linear-a=2`` is ``--linear-a 2``).  The file's lines are parsed as flags in
+front of the command line, so a flag given on the command line wins, and an
+unknown key or a bad value is a usage error that names the file.
+"""
 
 from __future__ import annotations
 
@@ -6,8 +13,6 @@ import argparse
 import logging
 import os
 import sys as _sys
-
-import numpy as np
 
 from . import benchmark as bench
 from . import dataset as ds
@@ -53,9 +58,10 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
-def load_config_file(path) -> dict:
-    """Flat key=value file; blank lines and # comments ignored."""
-    values = {}
+def load_config_file(path) -> list:
+    """Flat key=value file as ``--key=value`` flags; blank lines and
+    # comments ignored."""
+    flags = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -64,56 +70,38 @@ def load_config_file(path) -> dict:
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, val = line.split("=", 1)
-            values[key.strip()] = val.strip()
-    return values
-
-
-def merged(args, config: dict, key: str, cast, default):
-    """Flag wins over config file (with a logged notice), else default."""
-    flag_val = getattr(args, key.replace("-", "_"), None)
-    if flag_val is not None:
-        if key in config:
-            log.info("flag --%s overrides config key %s", key, key)
-        return flag_val
-    if key in config:
-        raw = config[key]
-        if cast is bool:
-            return raw.lower() in ("1", "true", "yes", "on")
-        return cast(raw)
-    return default
+            flags.append(f"--{key.strip()}={val.strip()}")
+    return flags
 
 
 def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
+def _or(value, default):
+    return default if value is None else value
+
+
 def cmd_simulate(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    system = merged(args, config, "system", str, "protein")
-    preset = SIM_PRESETS.get(system, SIM_PRESETS["protein"])
-
-    def get(key, cast, default):
-        return merged(args, config, key, cast, default)
-
+    preset = SIM_PRESETS[args.system]
     cfg = SimulationConfig(
-        system=system,
-        x0=get("x0", _floats, preset["x0"]),
-        d_true=get("D", float, preset["d_true"]),
-        d_hat0=get("dhat0", float, preset["d_hat0"]),
-        d_min=get("dmin", float, preset["d_min"]),
-        d_max=get("dmax", float, preset["d_max"]),
-        gamma=get("gamma", float, preset["gamma"]),
-        b=get("b", float, preset["b"]),
-        dt=get("dt", float, 1e-3),
-        t_final=get("tf", float, preset["t_final"]),
-        predictor=get("predictor", str, "numeric_fixed_point"),
-        law=get("law", str, preset["law"]),
-        grid_points=PredictorGrid.from_dx(get("dx", float, 0.005)).n_points,
-        model_path=get("model", str, None),
-        control_clip=get("clip", _floats, None),
-        uncompensated=bool(get("uncompensated", bool, False)),
-        linear_a=get("linear-a", float, -0.5),
-        linear_b=get("linear-b", float, 1.0),
+        system=args.system,
+        x0=_or(args.x0, preset["x0"]),
+        d_true=_or(args.D, preset["d_true"]),
+        d_hat0=_or(args.dhat0, preset["d_hat0"]),
+        d_min=_or(args.dmin, preset["d_min"]),
+        d_max=_or(args.dmax, preset["d_max"]),
+        gamma=_or(args.gamma, preset["gamma"]),
+        b=_or(args.b, preset["b"]),
+        dt=args.dt,
+        t_final=_or(args.tf, preset["t_final"]),
+        predictor=args.predictor,
+        law=_or(args.law, preset["law"]),
+        grid_points=PredictorGrid.from_dx(args.dx).n_points,
+        model_path=args.model,
+        control_clip=args.clip,
+        linear_a=args.linear_a,
+        linear_b=args.linear_b,
     )
     if cfg.t_final <= 0 or cfg.dt <= 0:
         print("error: tf and dt must be positive", file=_sys.stderr)
@@ -139,39 +127,29 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
-    config = load_config_file(args.config) if args.config else {}
-    system = merged(args, config, "system", str, "protein")
-    if system not in DATASET_PRESETS:
-        print(f"error: unknown system {system!r}; known: "
-              f"{', '.join(DATASET_PRESETS)}", file=_sys.stderr)
-        return EXIT_USAGE
-    preset = DATASET_PRESETS[system]
-    sim_preset = SIM_PRESETS[system]
+    preset = DATASET_PRESETS[args.system]
+    sim_preset = SIM_PRESETS[args.system]
     ranges = ds.SampleRanges(
-        x0_lo=merged(args, config, "x0-lo", _floats, preset.x0_lo),
-        x0_hi=merged(args, config, "x0-hi", _floats, preset.x0_hi),
-        d_true=merged(args, config, "d-range", _floats, preset.d_true),
-        d_hat0=merged(args, config, "dhat0-range", _floats, preset.d_hat0),
+        x0_lo=_or(args.x0_lo, preset.x0_lo),
+        x0_hi=_or(args.x0_hi, preset.x0_hi),
+        d_true=_or(args.d_range, preset.d_true),
+        d_hat0=_or(args.dhat0_range, preset.d_hat0),
     )
     base = SimulationConfig(
-        system=system,
-        d_min=merged(args, config, "dmin", float, sim_preset["d_min"]),
-        d_max=merged(args, config, "dmax", float, sim_preset["d_max"]),
-        gamma=merged(args, config, "gamma", float, sim_preset["gamma"]),
-        b=merged(args, config, "b", float, sim_preset["b"]),
-        dt=merged(args, config, "dt", float, 2e-3),
-        t_final=merged(args, config, "tf", float, 16.0),
-        law=merged(args, config, "law", str, sim_preset["law"]),
-        grid_points=merged(args, config, "grid", int, 41),
+        system=args.system,
+        d_min=_or(args.dmin, sim_preset["d_min"]),
+        d_max=_or(args.dmax, sim_preset["d_max"]),
+        gamma=_or(args.gamma, sim_preset["gamma"]),
+        b=_or(args.b, sim_preset["b"]),
+        dt=args.dt,
+        t_final=args.tf,
+        law=_or(args.law, sim_preset["law"]),
+        grid_points=args.grid,
     )
     try:
-        data = ds.generate_dataset(
-            base, merged(args, config, "n", int, 1000), ranges,
-            seed=merged(args, config, "seed", int, 0),
-            m=merged(args, config, "m", int, 41),
-            q=merged(args, config, "q", int, None),
-            stride_s=merged(args, config, "stride", float, 0.1),
-            jobs=merged(args, config, "jobs", int, 1))
+        data = ds.generate_dataset(base, args.n, ranges, seed=args.seed,
+                                   m=args.m, q=args.q, stride_s=args.stride,
+                                   jobs=args.jobs)
     except (RuntimeError, PredictorError) as exc:
         print(f"dataset generation failed: {exc}", file=_sys.stderr)
         return EXIT_DOMAIN
@@ -237,11 +215,15 @@ def build_parser() -> argparse.ArgumentParser:
         prog="predictor-lab",
         description="Delay-adaptive predictor feedback toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    config_help = ("flat key=value file; each key is a flag name without "
+                   "its dashes, and flags on the command line win")
 
-    sim = sub.add_parser("simulate", help="run one closed-loop simulation")
-    sim.add_argument("--config", help="flat key=value config file")
-    sim.add_argument("--system", choices=list(SIM_PRESETS))
-    sim.add_argument("--predictor", choices=PREDICTOR_CHOICES)
+    sim = sub.add_parser("simulate", help="run one closed-loop simulation",
+                         allow_abbrev=False)
+    sim.add_argument("--config", help=config_help)
+    sim.add_argument("--system", choices=list(SIM_PRESETS), default="protein")
+    sim.add_argument("--predictor", choices=PREDICTOR_CHOICES,
+                     default="numeric_fixed_point")
     sim.add_argument("--law", choices=LAW_CHOICES)
     sim.add_argument("--D", type=float, help="true delay")
     sim.add_argument("--dhat0", type=float)
@@ -251,26 +233,28 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--b", type=float)
     sim.add_argument("--x0", type=_floats)
     sim.add_argument("--tf", type=float)
-    sim.add_argument("--dt", type=float)
-    sim.add_argument("--dx", type=float, help="predictor grid step")
+    sim.add_argument("--dt", type=float, default=1e-3)
+    sim.add_argument("--dx", type=float, default=0.005,
+                     help="predictor grid step")
     sim.add_argument("--model", help="trained model for --predictor neural")
     sim.add_argument("--clip", type=_floats, help="control clip lo,hi")
-    sim.add_argument("--uncompensated", action="store_const", const=True)
-    sim.add_argument("--linear-a", type=float)
-    sim.add_argument("--linear-b", type=float)
+    sim.add_argument("--linear-a", type=float, default=-0.5)
+    sim.add_argument("--linear-b", type=float, default=1.0)
     sim.add_argument("--out", help="trace CSV path")
     sim.set_defaults(fn=cmd_simulate)
 
-    gen = sub.add_parser("gen-dataset", help="harvest a predictor dataset")
-    gen.add_argument("--config")
-    gen.add_argument("--system", choices=list(DATASET_PRESETS))
-    gen.add_argument("--n", type=int, help="number of samples")
-    gen.add_argument("--m", type=int)
+    gen = sub.add_parser("gen-dataset", help="harvest a predictor dataset",
+                         allow_abbrev=False)
+    gen.add_argument("--config", help=config_help)
+    gen.add_argument("--system", choices=list(DATASET_PRESETS),
+                     default="protein")
+    gen.add_argument("--n", type=int, default=1000, help="number of samples")
+    gen.add_argument("--m", type=int, default=41)
     gen.add_argument("--q", type=int)
-    gen.add_argument("--grid", type=int)
-    gen.add_argument("--stride", type=float)
-    gen.add_argument("--dt", type=float)
-    gen.add_argument("--tf", type=float)
+    gen.add_argument("--grid", type=int, default=41)
+    gen.add_argument("--stride", type=float, default=0.1)
+    gen.add_argument("--dt", type=float, default=2e-3)
+    gen.add_argument("--tf", type=float, default=16.0)
     gen.add_argument("--law", choices=LAW_CHOICES)
     gen.add_argument("--gamma", type=float)
     gen.add_argument("--b", type=float)
@@ -280,12 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--x0-hi", type=_floats)
     gen.add_argument("--d-range", type=_floats)
     gen.add_argument("--dhat0-range", type=_floats)
-    gen.add_argument("--jobs", type=int)
-    gen.add_argument("--seed", type=int)
+    gen.add_argument("--jobs", type=int, default=1)
+    gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(fn=cmd_gen_dataset)
 
-    tr = sub.add_parser("train", help="train the neural operator predictor")
+    tr = sub.add_parser("train", help="train the neural operator predictor",
+                        allow_abbrev=False)
     tr.add_argument("--dataset", required=True)
     tr.add_argument("--out", required=True)
     tr.add_argument("--dc", type=int, default=64)
@@ -298,7 +283,8 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--seed", type=int, default=0)
     tr.set_defaults(fn=cmd_train)
 
-    bm = sub.add_parser("benchmark", help="latency comparison of backends")
+    bm = sub.add_parser("benchmark", help="latency comparison of backends",
+                        allow_abbrev=False)
     bm.add_argument("--system", default="protein")
     bm.add_argument("--model", help="trained model for the neural backend")
     bm.add_argument("--backends", default="numeric,neural")
@@ -310,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     bm.add_argument("--out")
     bm.set_defaults(fn=cmd_benchmark)
 
-    ver = sub.add_parser("verify", help="run the property suites")
+    ver = sub.add_parser("verify", help="run the property suites",
+                         allow_abbrev=False)
     ver.add_argument("--suite", default="all",
                      help="one of: all, " + ", ".join(verify_mod.SUITES))
     ver.add_argument("--seed", type=int, default=0)
@@ -318,19 +305,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def parse_args(argv) -> argparse.Namespace:
+    """Parse the command line; with ``--config``, parse it again with the
+    file's ``--key=value`` flags in front of the subcommand's own."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "config", None) is None:
+        return args
+    flags = load_config_file(args.config)
+    try:
+        return parser.parse_args(argv[:1] + flags + argv[1:])
+    except SystemExit:
+        print(f"error: in config file {args.config}: each key must be a "
+              f"flag of {args.command} with a valid value", file=_sys.stderr)
+        raise
+
+
 def main(argv=None) -> int:
     _setup_logging()
-    parser = build_parser()
+    argv = _sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parse_args(argv)
+        return args.fn(args)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.fn(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, no.ModelFormatError, ds.DatasetFormatError) as exc:
+    except (FileNotFoundError, ValueError) as exc:
+        # ValueError covers ModelFormatError and DatasetFormatError
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
 

@@ -16,6 +16,10 @@ from .systems import make_system
 
 DATASET_MAGIC = "predictor-dataset"
 DATASET_VERSION = 1
+TARGET_MAX_ITER = 1000      # Picard iterations of one cold target solve
+MAX_SKIP_FRACTION = 0.2     # share of source runs that may diverge
+# drawn per source run or fixed by the harvest, so not part of a config hash
+PER_RUN_FIELDS = ("x0", "d_true", "d_hat0", "predictor", "model_path")
 
 
 class DatasetFormatError(ValueError):
@@ -63,37 +67,32 @@ class PredictorDataset:
     def output_grid(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.q)
 
-    def subset(self, idx) -> "PredictorDataset":
-        return PredictorDataset(X=self.X[idx], u=self.u[idx],
-                                d_hat=self.d_hat[idx],
-                                targets=self.targets[idx],
-                                provenance=dict(self.provenance))
-
 
 def _config_hash(cfg: SimulationConfig, ranges: SampleRanges, m: int,
                  q: int, stride_s: float) -> str:
-    blob = json.dumps({"cfg": vars(cfg), "ranges": vars(ranges),
+    settings = {k: v for k, v in vars(cfg).items()
+                if k not in PER_RUN_FIELDS}
+    blob = json.dumps({"cfg": settings, "ranges": vars(ranges),
                        "m": m, "q": q, "stride": stride_s},
                       sort_keys=True, default=str)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
-def solve_target(sys, X, u_profile, d_hat, q, tol=1e-9, max_iter=1000):
+def solve_target(sys, X, u_profile, d_hat, q, tol=1e-9):
     """Cold numeric solve from an m-grid input profile; the NO's ground truth."""
     m_grid = np.linspace(0.0, 1.0, len(u_profile))
     sampler = lambda x: np.interp(x, m_grid, u_profile)
     prof = solve_fixed_point(sys, X, sampler, d_hat, PredictorGrid(q), tol=tol,
-                             max_iter=max_iter)
+                             max_iter=TARGET_MAX_ITER)
     return prof.values, prof.residual
 
 
 def _source_run(args) -> dict:
     """One seeded closed-loop run, harvesting tuples at stride intervals."""
-    (cfg, x0, d_true, d_hat0, m, q, stride_s, tol) = args
+    (cfg, x0, d_true, d_hat0, m, q, stride_steps, tol) = args
     sys = make_system(cfg.system, a=cfg.linear_a, b_in=cfg.linear_b)
     cfg = replace(cfg, x0=tuple(x0), d_true=float(d_true),
                   d_hat0=float(d_hat0), predictor="numeric_fixed_point")
-    stride_steps = max(1, int(round(stride_s / cfg.dt)))
     m_grid = np.linspace(0.0, 1.0, m)
     rows = {"X": [], "u": [], "d_hat": [], "targets": [], "residuals": []}
 
@@ -133,8 +132,8 @@ def _source_run(args) -> dict:
 def generate_dataset(base_cfg: SimulationConfig, n_samples: int,
                      ranges: SampleRanges, seed: int = 0, m: int = 41,
                      q: int = None, stride_s: float = 0.1,
-                     target_tol: float = 1e-9, jobs: int = 1,
-                     max_skip_fraction: float = 0.2) -> PredictorDataset:
+                     target_tol: float = 1e-9,
+                     jobs: int = 1) -> PredictorDataset:
     """Harvest (X, u, d_hat) -> predictor-curve tuples from closed-loop runs.
 
     Source runs sample initial state, true delay and initial estimate from
@@ -143,8 +142,13 @@ def generate_dataset(base_cfg: SimulationConfig, n_samples: int,
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
-    if stride_s <= 0.0:
-        raise ValueError("harvest stride must be positive")
+    if stride_s <= 0.0 or base_cfg.dt <= 0.0:
+        raise ValueError("harvest stride and dt must be positive")
+    stride_steps = max(1, int(round(stride_s / base_cfg.dt)))
+    if (int(round(base_cfg.t_final / base_cfg.dt)) - 1) // stride_steps < 1:
+        raise ValueError(
+            f"a source run of t_final={base_cfg.t_final!r} at "
+            f"dt={base_cfg.dt!r} holds no harvest point at stride={stride_s!r}")
     if q is None:
         q = m
     rng = np.random.default_rng(seed)
@@ -163,7 +167,7 @@ def generate_dataset(base_cfg: SimulationConfig, n_samples: int,
             x0 = rng.uniform(ranges.x0_lo, ranges.x0_hi)
             d_true = rng.uniform(*ranges.d_true)
             d_hat0 = rng.uniform(*ranges.d_hat0)
-            args.append((base_cfg, x0, d_true, d_hat0, m, q, stride_s,
+            args.append((base_cfg, x0, d_true, d_hat0, m, q, stride_steps,
                          target_tol))
         if jobs > 1:
             with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -178,10 +182,10 @@ def generate_dataset(base_cfg: SimulationConfig, n_samples: int,
                 chunks.append(res)
                 total += len(res["X"])
                 max_residual = max(max_residual, res["max_residual"])
-            if runs_done >= 5 and skipped > max_skip_fraction * runs_done:
+            if runs_done >= 5 and skipped > MAX_SKIP_FRACTION * runs_done:
                 raise RuntimeError(
                     f"{skipped}/{runs_done} source runs diverged "
-                    f"(> {max_skip_fraction:.0%} skip budget)")
+                    f"(> {MAX_SKIP_FRACTION:.0%} skip budget)")
 
     X = np.concatenate([c["X"] for c in chunks])
     u = np.concatenate([c["u"] for c in chunks])

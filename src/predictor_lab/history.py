@@ -15,10 +15,9 @@ GUARD_SAMPLES = 2  # extra old samples kept for derivative stencils
 class HistoryWindowError(ValueError):
     """Query outside the recorded window; carries the earliest valid time."""
 
-    def __init__(self, message, earliest=None, latest=None):
+    def __init__(self, message, earliest=None):
         super().__init__(message)
         self.earliest = earliest
-        self.latest = latest
 
 
 class InputHistory:
@@ -71,7 +70,7 @@ class InputHistory:
             raise HistoryWindowError(
                 f"query t={bad!r} outside recorded window "
                 f"[{self.window_start!r}, {self.current_time!r}]",
-                earliest=self.window_start, latest=self.current_time)
+                earliest=self.window_start)
         return (times - self._origin) / self.sample_period - (
             self._newest - (self._capacity - 1))
 
@@ -102,14 +101,6 @@ class InputHistory:
         frac = pos - i0
         out = nodes[i0] * (1.0 - frac) + nodes[i0 + 1] * frac
         return float(out) if np.isscalar(t) else out
-
-    def dump_csv(self, path) -> None:
-        ks = np.arange(self._newest - (self._capacity - 1), self._newest + 1)
-        times = self._origin + ks * self.sample_period
-        with open(path, "w") as fh:
-            fh.write("time,U\n")
-            for t, v in zip(times, self._values):
-                fh.write(f"{t!r},{v!r}\n")
 
 
 def distributed_input(h: InputHistory, delay: float, x):
@@ -147,7 +138,7 @@ def distributed_input_xderiv(h: InputHistory, delay: float, x):
     if np.any(theta < h.window_start + h.sample_period - 1e-12):
         raise HistoryWindowError(
             "insufficient margin for the derivative stencil",
-            earliest=h.window_start + h.sample_period, latest=h.current_time)
+            earliest=h.window_start + h.sample_period)
     d = h.sample_derivative(theta)
     return delay * (d if x.ndim else float(d))
 
@@ -201,7 +192,7 @@ def window_functionals(h: InputHistory, horizon: float) -> dict:
     if horizon > h.window_length + 1e-12:
         raise HistoryWindowError(
             f"horizon {horizon!r} exceeds recorded window {h.window_length!r}",
-            earliest=h.window_start, latest=h.current_time)
+            earliest=h.window_start)
     w = _window_integrals(h._values, h.sample_period, [horizon])
     return {name: float(value[0]) for name, value in w.items()}
 

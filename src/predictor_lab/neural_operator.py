@@ -11,7 +11,6 @@ gradients stay analytic and checkable.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 

@@ -64,8 +64,6 @@ class PredictorGrid:
 class PredictorProfile:
     grid: PredictorGrid
     values: np.ndarray          # (N, n)
-    delay_used: float
-    solver: str                 # fixed_point | ode_march | neural
     iterations: int
     residual: float
 
@@ -122,8 +120,7 @@ def solve_fixed_point(sys: SystemModel, X, u_sampler: Callable, delay: float,
         p = p_next
         if step < tol:
             res = integral_residual(sys, p, u_nodes, delay, grid.dx)
-            return PredictorProfile(grid=grid, values=p, delay_used=delay,
-                                    solver="fixed_point", iterations=k,
+            return PredictorProfile(grid=grid, values=p, iterations=k,
                                     residual=res)
     raise PredictorError(
         f"fixed-point solve did not converge in {max_iter} iterations "
@@ -154,8 +151,7 @@ def solve_ode_march(sys: SystemModel, X, u_sampler: Callable, delay: float,
                 f"divergence: non-finite state at grid node {i + 1}",
                 iterations=i + 1)
     res = integral_residual(sys, p, u_lo, delay, h)
-    return PredictorProfile(grid=grid, values=p, delay_used=delay,
-                            solver="ode_march", iterations=grid.n_points - 1,
+    return PredictorProfile(grid=grid, values=p, iterations=grid.n_points - 1,
                             residual=res)
 
 

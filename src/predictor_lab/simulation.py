@@ -5,7 +5,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -16,14 +16,16 @@ from .adaptation import (LAW_CHOICES, AdaptationState,
 from .history import (InputHistory, delayed_input_sampler,
                       distributed_input_xderiv, run_window_functionals,
                       window_functionals)
-from .neural_operator import NeuralOperatorModel, forward, load_model
+from .neural_operator import forward, load_model
 from .predictor import (PredictorError, PredictorGrid, PredictorProfile,
                         integral_residual, q1_scan, solve_fixed_point)
 from .systems import SystemModel, make_system
 
 log = logging.getLogger("predictor_lab")
 
-PREDICTOR_CHOICES = ("numeric_fixed_point", "neural", "none")
+# "none" applies zero input; "uncompensated" applies kappa(X) through the
+# delay, with no prediction
+PREDICTOR_CHOICES = ("numeric_fixed_point", "neural", "none", "uncompensated")
 MAX_CONSECUTIVE_SOLVER_FAILURES = 10
 DIVERGENCE_NORM = 1e12
 
@@ -45,7 +47,6 @@ class SimulationConfig:
     grid_points: int = 201
     model_path: Optional[str] = None
     control_clip: Optional[tuple] = None
-    uncompensated: bool = False  # predictor == "none": kappa(X) vs zero input
     # above the float stall floor of large-state solves, far below dx^2
     solver_tol: float = 1e-8
     solver_max_iter: int = 200
@@ -97,11 +98,9 @@ class SimulationTrace:
     upsilon_fn: np.ndarray
     pred_residual: np.ndarray
     pred_time_s: np.ndarray
-    wall_time_s: np.ndarray
     diverged: bool = False
     divergence_step: Optional[int] = None
     config: Optional[SimulationConfig] = None
-    meta: dict = field(default_factory=dict)
 
     @property
     def n_steps(self) -> int:
@@ -146,7 +145,6 @@ def upsilon_functional(sys: SystemModel, X, h: InputHistory, d_true: float,
 
 
 def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
-        model: Optional[NeuralOperatorModel] = None,
         on_step=None) -> SimulationTrace:
     """Explicit-Euler closed loop per the configured predictor and law.
 
@@ -158,7 +156,11 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
     cfg.validate()
     sys = system if system is not None else make_system(
         cfg.system, a=cfg.linear_a, b_in=cfg.linear_b)
-    if cfg.predictor == "neural" and model is None:
+    X = np.asarray(cfg.x0, dtype=float).copy()
+    if X.shape != (sys.state_dim,):
+        raise ValueError(f"x0={cfg.x0!r} does not match the state dimension "
+                         f"{sys.state_dim} of the {sys.name} plant")
+    if cfg.predictor == "neural":
         model = load_model(cfg.model_path)
 
     clip = cfg.control_clip
@@ -173,7 +175,6 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
     st = AdaptationState(d_hat=cfg.d_hat0, d_min=cfg.d_min, d_max=cfg.d_max,
                          gamma=cfg.gamma, b=cfg.b, law=cfg.law)
 
-    X = np.asarray(cfg.x0, dtype=float).copy()
     warm = None
     failures = 0
     warned_failure = False
@@ -182,11 +183,10 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
     K = n_steps
     out = {name: np.zeros(K) for name in
            ("t", "U", "U_unclipped", "U_arriving", "d_hat", "phi",
-            "pred_residual", "pred_time_s", "wall_time_s")}
+            "pred_residual", "pred_time_s")}
     Xs = np.zeros((K, sys.state_dim))
     diverged = False
     div_step = None
-    t_start = time.perf_counter()
 
     for k in range(K):
         t = k * dt
@@ -196,7 +196,9 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         solve_time = 0.0
 
         if cfg.predictor == "none":
-            u_raw = float(sys.controller(X)) if cfg.uncompensated else 0.0
+            u_raw = 0.0
+        elif cfg.predictor == "uncompensated":
+            u_raw = float(sys.controller(X))
         else:
             profile_delay = d_hat if cfg.law == "unmeasured" else cfg.d_true
             sampler = delayed_input_sampler(hist, t, profile_delay)
@@ -210,11 +212,10 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
                     u_m = np.asarray(sampler(model.input_grid), dtype=float)
                     values = forward(model, X, u_m, d_hat, grid.points)
                     profile = PredictorProfile(
-                        grid=grid, values=values, delay_used=d_hat,
-                        solver="neural", iterations=0, residual=0.0)
-                    profile.residual = integral_residual(
-                        sys, values, np.asarray(sampler(grid.points)),
-                        d_hat, grid.dx)
+                        grid=grid, values=values, iterations=0,
+                        residual=integral_residual(
+                            sys, values, np.asarray(sampler(grid.points)),
+                            d_hat, grid.dx))
                 solve_time = time.perf_counter() - tic
                 residual = profile.residual
                 warm = profile.values
@@ -271,7 +272,6 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         out["phi"][k] = phi
         out["pred_residual"][k] = residual
         out["pred_time_s"][k] = solve_time
-        out["wall_time_s"][k] = time.perf_counter() - t_start
 
         if on_step is not None:
             on_step(k, t, X, hist, d_hat, profile)
@@ -295,5 +295,4 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         X=Xs[:K], **out,
         gamma_fn=_gamma(dX, w_gamma, cfg.d_true, out["d_hat"]),
         upsilon_fn=_upsilon(dX, w_upsilon, cfg.d_true, out["d_hat"]),
-        diverged=diverged, divergence_step=div_step, config=cfg,
-        meta={"system": sys.name, "setpoint": sys.setpoint.tolist()})
+        diverged=diverged, divergence_step=div_step, config=cfg)

@@ -98,8 +98,8 @@ def scalar_test_system(f_const=2.0):
 
 
 def hand_profile(sys, grid, d_hat, values):
-    return PredictorProfile(grid=grid, values=values, delay_used=d_hat,
-                            solver="fixed_point", iterations=1, residual=0.0)
+    return PredictorProfile(grid=grid, values=values, iterations=1,
+                            residual=0.0)
 
 
 def test_phi_unmeasured_hand_value():

@@ -1,5 +1,9 @@
 """CLI surface: subcommand grammar, exit codes, config/flag precedence."""
 
+import subprocess
+import sys as _sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -104,6 +108,66 @@ def test_config_file_bad_line(tmp_path, capsys):
     code = run_cli(["simulate", "--config", str(cfg)])
     assert code == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["simulate", "gen-dataset"])
+@pytest.mark.parametrize("line, named", [
+    ("gama=5", "--gama=5"),
+    ("strid=0.5", "--strid=0.5"),  # a prefix of gen-dataset's --stride
+    ("tf=abc", "--tf: invalid float value: 'abc'"),
+    ("uncompensated=true", "--uncompensated=true"),
+], ids=["unknown-key", "prefix-key", "bad-value", "removed-key"])
+def test_config_key_must_be_a_flag_with_a_valid_value(command, line, named,
+                                                      tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"system=linear\n{line}\n")
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", str(cfg),
+                    "--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert named in err
+    assert f"config file {cfg}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, plant", [
+    (["simulate", "--system", "protein", "--x0", "0.1", "--tf", "0.01"],
+     "protein"),
+    (["gen-dataset", "--system", "linear", "--x0-lo", "1,2", "--x0-hi", "2,3",
+      "--n", "5", "--tf", "0.5", "--grid", "11", "--m", "11"], "linear"),
+])
+def test_state_of_wrong_length_is_a_usage_error(command, plant, tmp_path,
+                                                capsys):
+    out = tmp_path / "out"
+    assert run_cli(command + ["--out", str(out)]) == cli.EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "x0=" in err and f"the {plant} plant" in err
+    assert not out.exists()
+
+
+def test_gen_dataset_without_harvest_point_is_a_usage_error(tmp_path):
+    """A 0.1 s source run at dt 2e-3 ends before the first 0.1 s harvest
+    point; in a subprocess, so that a generator that loops forever fails
+    here instead of hanging the suite."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from predictor_lab import cli; "
+            "raise SystemExit(cli.main(sys.argv[2:]))")
+    out = tmp_path / "x.bin"
+    proc = subprocess.run(
+        [_sys.executable, "-c", code, src, "gen-dataset", "--system",
+         "linear", "--n", "5", "--tf", "0.1", "--grid", "11", "--m", "11",
+         "--out", str(out)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_USAGE
+    assert "t_final=0.1" in proc.stderr and "dt=0.002" in proc.stderr
+    assert "stride=0.1" in proc.stderr
+    assert not out.exists()
+
+
+def test_benchmark_rejects_zero_trials(capsys):
+    assert run_cli(["benchmark", "--system", "linear", "--backends",
+                    "numeric", "--trials", "0"]) == cli.EXIT_USAGE
+    assert "trials=0" in capsys.readouterr().err
 
 
 def test_verify_deterministic_output(capsys):

@@ -1,13 +1,15 @@
 """Dataset harvesting/serialization and the latency benchmark harness."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import predictor_lab as pl
 from predictor_lab import benchmark as bench
 from predictor_lab.dataset import (DatasetFormatError, SampleRanges,
-                                   generate_dataset, load_dataset,
-                                   save_dataset, solve_target)
+                                   _config_hash, generate_dataset,
+                                   load_dataset, save_dataset, solve_target)
 
 
 def tiny_linear_cfg():
@@ -45,6 +47,19 @@ def test_generate_dataset_validation():
         generate_dataset(tiny_linear_cfg(), 10, tiny_ranges(), stride_s=0.0)
     with pytest.raises(ValueError, match="n_samples"):
         generate_dataset(tiny_linear_cfg(), 0, tiny_ranges())
+
+
+def test_config_hash_covers_only_harvest_settings():
+    """The per-run draws and the forced predictor leave the hash alone."""
+    base = tiny_linear_cfg()
+
+    def config_hash(cfg):
+        return _config_hash(cfg, tiny_ranges(), 21, 21, 0.25)
+
+    per_run = replace(base, x0=(0.3,), d_true=1.7, d_hat0=0.6,
+                      predictor="neural", model_path="model.no")
+    assert config_hash(per_run) == config_hash(base)
+    assert config_hash(replace(base, gamma=11.0)) != config_hash(base)
 
 
 def test_generate_dataset_deterministic():

@@ -151,12 +151,3 @@ def test_transport_identity_against_logged_record():
     direct = np.interp(6.0 + delay * (xs - 1.0), ts, log)
     max_uddot = 9.0 + 0.25 * 49.0
     assert np.abs(prof - direct).max() <= dt ** 2 * max_uddot
-
-
-def test_dump_csv(tmp_path):
-    h = filled_history(np.sin, dt=0.1, window=1.0, t_end=1.0)
-    path = tmp_path / "hist.csv"
-    h.dump_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "time,U"
-    assert len(lines) == 1 + h._capacity

@@ -77,8 +77,7 @@ def test_frozen_law_holds_estimate(protein):
 def test_uncompensated_flag_applies_controller_through_delay(protein):
     cfg = pl.SimulationConfig(system="protein", x0=(0.03, 30.0), d_true=0.5,
                               d_hat0=0.5, gamma=0.0, dt=1e-3, t_final=1.0,
-                              predictor="none", law="frozen",
-                              uncompensated=True)
+                              predictor="uncompensated", law="frozen")
     tr = pl.run(cfg, system=protein)
     # logged control equals kappa of the logged state at each step
     expected = protein.controller(tr.X)
@@ -236,8 +235,8 @@ def _run_with_replayed_diagnostics(cfg):
                         grid_points=41),
     pl.SimulationConfig(system="linear", linear_a=5.0, x0=(1.0,),
                         d_true=0.5, d_hat0=0.5, d_min=0.2, d_max=1.0,
-                        gamma=0.0, dt=1e-3, t_final=12.0, predictor="none",
-                        uncompensated=True, law="frozen"),
+                        gamma=0.0, dt=1e-3, t_final=12.0,
+                        predictor="uncompensated", law="frozen"),
 ], ids=["protein-measured", "chemostat-crossing", "linear-diverging"])
 def test_diagnostics_after_run_match_per_step_replay(cfg):
     tr, gamma, upsilon = _run_with_replayed_diagnostics(cfg)
