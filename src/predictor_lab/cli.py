@@ -107,13 +107,7 @@ def cmd_simulate(args) -> int:
         print("error: tf and dt must be positive", file=_sys.stderr)
         return EXIT_USAGE
     try:
-        cfg.validate()
-    except ValueError as exc:
-        print(f"error: {exc}", file=_sys.stderr)
-        return EXIT_USAGE
-
-    try:
-        trace = run(cfg)
+        trace = run(cfg)  # a ValueError from cfg.validate() exits 2 in main
     except PredictorError as exc:
         print(f"predictor failure: {exc}", file=_sys.stderr)
         return EXIT_DOMAIN

@@ -35,6 +35,12 @@ class SampleRanges:
     d_true: tuple       # (lo, hi)
     d_hat0: tuple       # (lo, hi)
 
+    def __post_init__(self):
+        # a shorter bound would broadcast against the longer one
+        if len(self.x0_lo) != len(self.x0_hi):
+            raise ValueError(f"x0_lo={self.x0_lo!r} and x0_hi={self.x0_hi!r} "
+                             "differ in length")
+
 
 @dataclass
 class PredictorDataset:
