@@ -62,8 +62,7 @@ def phi_measured(sys: SystemModel, w: np.ndarray, q1: np.ndarray,
     xs = grid.points
     weight = 1.0 + xs
     num = np.trapezoid(weight * q1 * w, xs)
-    den = 1.0 + float(sys.lyapunov(np.asarray(X, dtype=float))) \
-        + b * np.trapezoid(weight * w * w, xs)
+    den = 1.0 + float(sys.lyapunov(X)) + b * np.trapezoid(weight * w * w, xs)
     return float(-num / den)
 
 

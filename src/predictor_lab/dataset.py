@@ -143,22 +143,25 @@ def generate_dataset(base_cfg: SimulationConfig, n_samples: int,
     """Harvest (X, u, d_hat) -> predictor-curve tuples from closed-loop runs.
 
     Source runs sample initial state, true delay and initial estimate from
-    ``ranges``; divergent runs are skipped and counted.  The result is
-    shuffled deterministically by ``seed``.
+    ``ranges``; divergent runs are skipped and counted.  The stride is
+    rounded to whole steps of dt, and the provenance records the stride
+    harvested at.  The result is shuffled deterministically by ``seed``.
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
     if stride_s <= 0.0 or base_cfg.dt <= 0.0:
         raise ValueError("harvest stride and dt must be positive")
     stride_steps = max(1, int(round(stride_s / base_cfg.dt)))
-    if (int(round(base_cfg.t_final / base_cfg.dt)) - 1) // stride_steps < 1:
+    # harvest points of one source run: steps k = stride_steps, 2 stride_steps,
+    # ... below round(t_final / dt)
+    per_run = (int(round(base_cfg.t_final / base_cfg.dt)) - 1) // stride_steps
+    if per_run < 1:
         raise ValueError(
             f"a source run of t_final={base_cfg.t_final!r} at "
             f"dt={base_cfg.dt!r} holds no harvest point at stride={stride_s!r}")
     if q is None:
         q = m
     rng = np.random.default_rng(seed)
-    per_run = max(1, int(base_cfg.t_final / stride_s) - 1)
 
     chunks = []
     total = 0
@@ -200,13 +203,15 @@ def generate_dataset(base_cfg: SimulationConfig, n_samples: int,
 
     order = np.random.default_rng(seed).permutation(len(X))[:n_samples]
     skipped_samples = sum(c["skipped_samples"] for c in chunks)
+    harvested_stride = stride_steps * base_cfg.dt
     prov = {"system": base_cfg.system, "law": base_cfg.law,
             "dx": 1.0 / (q - 1), "dt": base_cfg.dt, "seed": seed,
-            "stride_s": stride_s, "target_tol": target_tol,
+            "stride_s": harvested_stride, "target_tol": target_tol,
             "max_residual": float(max_residual),
             "runs": runs_done, "skipped_runs": skipped,
             "skipped_samples": skipped_samples,
-            "config_hash": _config_hash(base_cfg, ranges, m, q, stride_s)}
+            "config_hash": _config_hash(base_cfg, ranges, m, q,
+                                        harvested_stride)}
     return PredictorDataset(X=X[order], u=u[order], d_hat=d_hat[order],
                             targets=targets[order], provenance=prov)
 
@@ -242,7 +247,14 @@ def load_dataset(path) -> PredictorDataset:
             raise DatasetFormatError("corrupt header") from exc
         raw = fh.read()
 
-    n, m, q, count = (header[k] for k in ("n", "m", "q", "count"))
+    keys = ("n", "m", "q", "count")
+    if not isinstance(header, dict):
+        raise DatasetFormatError("header is not a JSON object")
+    for key in keys:
+        if not isinstance(header.get(key), int):
+            raise DatasetFormatError(
+                f"header key {key!r} is missing or not an integer")
+    n, m, q, count = (header[k] for k in keys)
     expected = count * (n + m + 1 + q * n)
     got = len(raw) // 8
     if count > 0 and got == 0:

@@ -23,12 +23,12 @@ class HistoryWindowError(ValueError):
 class InputHistory:
     """Fixed-capacity record of (time, U) samples on a uniform grid.
 
-    The buffer is pre-filled with ``fill`` (an idle actuator) so that delayed
+    The buffer is pre-filled with zeros (an idle actuator) so that delayed
     lookups are valid from the first step.  Single writer; reads never mutate.
     """
 
     def __init__(self, sample_period: float, window_length: float,
-                 t0: float = 0.0, fill: float = 0.0):
+                 t0: float = 0.0):
         if sample_period <= 0.0:
             raise ValueError("sample_period must be positive")
         if window_length <= 0.0:
@@ -39,7 +39,7 @@ class InputHistory:
         self._capacity = n_window + 1 + GUARD_SAMPLES
         self._origin = float(t0)
         # oldest to newest (guards included); a push slides it by one
-        self._values = np.full(self._capacity, float(fill))
+        self._values = np.zeros(self._capacity)
         self._newest = 0  # absolute step index of the newest sample
 
     @property

@@ -426,9 +426,14 @@ def load_model(path) -> NeuralOperatorModel:
             f"unsupported format_version {version} (supported: {FORMAT_VERSION})")
     if len(lines) < 2:
         raise ModelFormatError("truncated file: missing layout line")
-    header = dict(kv.split("=") for kv in lines[1].split())
-    n, m = int(header["n"]), int(header["m"])
-    d_c, layers = int(header["d_c"]), int(header["layers"])
+    # key=value tokens; a token without "=" reads as an empty value
+    layout = dict(token.partition("=")[::2] for token in lines[1].split())
+    keys = ("n", "m", "d_c", "layers")
+    for key in keys:
+        if not layout.get(key, "").isdecimal():
+            raise ModelFormatError(f"layout key {key!r} is missing or not a "
+                                   "whole number")
+    n, m, d_c, layers = (int(layout[k]) for k in keys)
 
     expected = ["norm_in_mu", "norm_in_sd", "norm_out_mu", "norm_out_sd"]
     expected += param_names(n, d_c, layers)

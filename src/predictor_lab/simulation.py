@@ -120,27 +120,27 @@ class SimulationTrace:
                 fh.write(",".join(repr(float(v)) for v in row) + "\n")
 
 
-def _gamma(dX, w, d_true, d_hat):
-    return (dX * dX).sum(axis=-1) + w["int_U2"] + (d_true - d_hat) ** 2
+def _gamma(v, w, d_true, d_hat):
+    return v + w["int_U2"] + (d_true - d_hat) ** 2
 
 
-def _upsilon(dX, w, d_true, d_hat):
-    return (np.sqrt((dX * dX).sum(axis=-1)) + w["int_absU"]
-            + w["int_absUdot"] + w["int_absUddot"] + (d_true - d_hat) ** 2)
+def _upsilon(v, w, d_true, d_hat):
+    return (np.sqrt(v) + w["int_absU"] + w["int_absUdot"]
+            + w["int_absUddot"] + (d_true - d_hat) ** 2)
 
 
 def gamma_functional(sys: SystemModel, X, h: InputHistory, d_true: float,
                      d_hat: float) -> float:
-    """|X - X*|^2 + int_{t-D}^t U^2 + (D - d_hat)^2 (measured-case diagnostic)."""
-    dX = np.asarray(X, dtype=float) - sys.setpoint
-    return float(_gamma(dX, window_functionals(h, d_true), d_true, d_hat))
+    """V(X) + int_{t-D}^t U^2 + (D - d_hat)^2 (measured-case diagnostic)."""
+    return float(_gamma(sys.lyapunov(X), window_functionals(h, d_true),
+                        d_true, d_hat))
 
 
 def upsilon_functional(sys: SystemModel, X, h: InputHistory, d_true: float,
                        d_hat: float) -> float:
-    """|X - X*| + L1 norms of U, dU, ddU over max(D, d_hat) + (D - d_hat)^2."""
-    dX = np.asarray(X, dtype=float) - sys.setpoint
-    return float(_upsilon(dX, window_functionals(h, max(d_true, d_hat)),
+    """sqrt V(X) + L1 norms of U, dU, ddU over max(D, d_hat) + (D - d_hat)^2."""
+    return float(_upsilon(sys.lyapunov(X),
+                          window_functionals(h, max(d_true, d_hat)),
                           d_true, d_hat))
 
 
@@ -170,7 +170,7 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
     dt = cfg.dt
     n_steps = int(round(cfg.t_final / dt))
     window = 2.0 * max(cfg.d_max, cfg.d_true) + 4.0 * dt
-    hist = InputHistory(dt, window, t0=-dt, fill=0.0)
+    hist = InputHistory(dt, window, t0=-dt)
     grid = PredictorGrid(cfg.grid_points)
     st = AdaptationState(d_hat=cfg.d_hat0, d_min=cfg.d_min, d_max=cfg.d_max,
                          gamma=cfg.gamma, b=cfg.b, law=cfg.law)
@@ -287,12 +287,12 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
             break
 
     out = {name: column[:K] for name, column in out.items()}
-    dX = Xs[:K] - sys.setpoint
+    v = sys.lyapunov(Xs[:K])
     w_gamma = run_window_functionals(hist, out["U"], np.full(K, cfg.d_true))
     w_upsilon = run_window_functionals(hist, out["U"],
                                        np.maximum(cfg.d_true, out["d_hat"]))
     return SimulationTrace(
         X=Xs[:K], **out,
-        gamma_fn=_gamma(dX, w_gamma, cfg.d_true, out["d_hat"]),
-        upsilon_fn=_upsilon(dX, w_upsilon, cfg.d_true, out["d_hat"]),
+        gamma_fn=_gamma(v, w_gamma, cfg.d_true, out["d_hat"]),
+        upsilon_fn=_upsilon(v, w_upsilon, cfg.d_true, out["d_hat"]),
         diverged=diverged, divergence_step=div_step, config=cfg)

@@ -5,15 +5,19 @@ chemostat bioreactor, and a scalar linear plant used as an analytic oracle
 for the predictor solvers.  All callables are vectorized over a leading
 batch axis so grid-wide evaluations stay in numpy.
 
-Building a plant needs numpy alone.  Its closed-loop equilibrium comes from
-a few Newton steps with the analytic Jacobian (``_newton_root``).  Its
-sampled Lipschitz constant ``C_f`` takes SVDs only of the samples whose
-Frobenius norm can reach the maximum (``_estimate_lipschitz``).
+A plant declares only its equations, its setpoint and its box; the state
+dimension, the Lyapunov function and the controller Hessian are derived
+from them.  Building a plant needs numpy alone.  Its closed-loop
+equilibrium comes from a few Newton steps with the analytic Jacobian
+(``_newton_root``).  Its sampled Lipschitz constant ``C_f`` is computed on
+first read, taking SVDs only of the samples whose Frobenius norm can reach
+the maximum (``_estimate_lipschitz``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -32,28 +36,35 @@ class SystemModel:
     scalar or (...,) inputs, and broadcast accordingly.  ``setpoint`` is the
     closed-loop equilibrium, found at construction by Newton's method with
     the analytic Jacobian until the step is at most 1e-15 * max(1, |x|_inf).
-    ``C_f`` is the largest of |df/du| and the spectral norm of df/dx over a
+    The state dimension is ``len(x_lo)``.  ``C_f``, computed on first read,
+    is the largest of |df/du| and the spectral norm of df/dx over a
     fixed-seed sample of 100 000 (state, input) pairs in the box
     [x_lo, x_hi] x [-u_bound, u_bound].
     """
 
     name: str
-    state_dim: int
     dynamics: Callable
     jacobian_state: Callable
     jacobian_input: Callable
     controller: Callable
     controller_grad: Callable
-    lyapunov: Callable
     setpoint: np.ndarray
     x_lo: np.ndarray
     x_hi: np.ndarray
     u_bound: float
-    C_f: float                  # sampled Lipschitz bound of f over the box
-    controller_hessian: Optional[Callable] = None
     control_lo: Optional[float] = None
     control_hi: Optional[float] = None
-    params: dict = field(default_factory=dict)
+
+    @property
+    def state_dim(self) -> int:
+        return len(self.x_lo)
+
+    @cached_property
+    def C_f(self) -> float:
+        """Sampled Lipschitz bound of f over the box."""
+        return _estimate_lipschitz(self.jacobian_state, self.jacobian_input,
+                                   self.x_lo, self.x_hi, self.u_bound,
+                                   self.state_dim)
 
     @property
     def x_bound(self) -> float:
@@ -61,17 +72,22 @@ class SystemModel:
         corners = np.maximum(np.abs(self.x_lo), np.abs(self.x_hi))
         return float(np.linalg.norm(corners))
 
+    def lyapunov(self, X):
+        """V(X) = |X - setpoint|^2 over the last axis of (..., n)."""
+        d = np.asarray(X, dtype=float) - self.setpoint
+        return np.sum(d * d, axis=-1)
+
     def sample_states(self, count, rng):
         """Uniform states inside the compact box, shape (count, n)."""
         return rng.uniform(self.x_lo, self.x_hi, size=(count, self.state_dim))
 
     def hessian_or_fd(self, X):
-        """Controller Hessian, analytic if provided else central differences.
+        """Controller Hessian by central differences of ``controller_grad``.
 
         Step h = 1e-5 * (1 + |X|) per coordinate pair.  Accepts (..., n).
+        Exact zeros for a linear controller.  The name is kept for the
+        benchmark, which patches and probes this method.
         """
-        if self.controller_hessian is not None:
-            return self.controller_hessian(X)
         X = np.asarray(X, dtype=float)
         h = 1e-5 * (1.0 + np.linalg.norm(X, axis=-1))
         # row i of each (n, n) block is a step of h along axis i; one
@@ -206,26 +222,15 @@ def _make_protein() -> SystemModel:
         d1, d2 = _hill_f1_grad(X[..., 0], X[..., 1])
         return np.stack([-d1, -d2], axis=-1)
 
-    def lyapunov(X):
-        X = np.asarray(X, dtype=float)
-        d = X - xstar
-        return np.sum(d * d, axis=-1)
-
     # operating envelope of the closed-loop benchmark runs; keeps the
     # sampled Lipschitz constant small enough that exp(D_max * C_f) stays
     # finite in double precision
-    x_lo = np.array([0.0, 2.0])
-    x_hi = np.array([0.22, 33.0])
-    u_bound = 5.0
-    c_f = _estimate_lipschitz(jacobian_state, jacobian_input, x_lo, x_hi,
-                              u_bound, 2)
     return SystemModel(
-        name="protein", state_dim=2, dynamics=dynamics,
+        name="protein", dynamics=dynamics,
         jacobian_state=jacobian_state, jacobian_input=jacobian_input,
         controller=controller, controller_grad=controller_grad,
-        lyapunov=lyapunov, setpoint=xstar, x_lo=x_lo, x_hi=x_hi,
-        u_bound=u_bound, C_f=c_f,
-        params={"K1": K1, "K2": K2, "Ka": KA, "Kb": KB},
+        setpoint=xstar, x_lo=np.array([0.0, 2.0]),
+        x_hi=np.array([0.22, 33.0]), u_bound=5.0,
     )
 
 
@@ -309,23 +314,13 @@ def _make_chemostat() -> SystemModel:
     xstar = _newton_root("chemostat", closed_loop, closed_loop_jac,
                          [p["Z_star"], p["S_star"]])
 
-    def lyapunov(X):
-        X = np.asarray(X, dtype=float)
-        d = X - xstar
-        return np.sum(d * d, axis=-1)
-
-    x_lo = np.array([1.0, 0.8])
-    x_hi = np.array([4.5, 3.5])
-    u_bound = 4.0
-    c_f = _estimate_lipschitz(jacobian_state, jacobian_input, x_lo, x_hi,
-                              u_bound, 2)
     return SystemModel(
-        name="chemostat", state_dim=2, dynamics=dynamics,
+        name="chemostat", dynamics=dynamics,
         jacobian_state=jacobian_state, jacobian_input=jacobian_input,
         controller=controller, controller_grad=controller_grad,
-        lyapunov=lyapunov, setpoint=xstar, x_lo=x_lo, x_hi=x_hi,
-        u_bound=u_bound, C_f=c_f,
-        control_lo=0.0, control_hi=5.0, params=dict(p),
+        setpoint=xstar, x_lo=np.array([1.0, 0.8]),
+        x_hi=np.array([4.5, 3.5]), u_bound=4.0,
+        control_lo=0.0, control_hi=5.0,
     )
 
 
@@ -359,27 +354,12 @@ def _make_linear(a: float, b_in: float) -> SystemModel:
         X = np.asarray(X, dtype=float)
         return np.full(X.shape, -(a + 1.0) / b_in)
 
-    def controller_hessian(X):
-        X = np.asarray(X, dtype=float)
-        return np.zeros(X.shape[:-1] + (1, 1))
-
-    def lyapunov(X):
-        X = np.asarray(X, dtype=float)
-        return X[..., 0] ** 2
-
-    x_lo = np.array([-5.0])
-    x_hi = np.array([5.0])
-    u_bound = 5.0
-    c_f = _estimate_lipschitz(jacobian_state, jacobian_input, x_lo, x_hi,
-                              u_bound, 1)
     return SystemModel(
-        name="linear", state_dim=1, dynamics=dynamics,
+        name="linear", dynamics=dynamics,
         jacobian_state=jacobian_state, jacobian_input=jacobian_input,
         controller=controller, controller_grad=controller_grad,
-        controller_hessian=controller_hessian,
-        lyapunov=lyapunov, setpoint=np.zeros(1), x_lo=x_lo, x_hi=x_hi,
-        u_bound=u_bound, C_f=c_f,
-        params={"a": a, "b_in": b_in},
+        setpoint=np.zeros(1), x_lo=np.array([-5.0]), x_hi=np.array([5.0]),
+        u_bound=5.0,
     )
 
 

@@ -84,17 +84,15 @@ def test_estimated_input_profile_linear_record():
 def scalar_test_system(f_const=2.0):
     """kappa' = 1, kappa'' = 0, f = const: the hand-computable case."""
     return SystemModel(
-        name="scalar-hand", state_dim=1,
+        name="scalar-hand",
         dynamics=lambda X, u: np.full(np.shape(np.asarray(X)), f_const),
         jacobian_state=lambda X, u: np.zeros(
             np.shape(np.asarray(X)[..., 0]) + (1, 1)),
         jacobian_input=lambda X, u: np.zeros(np.shape(X)),
         controller=lambda X: np.asarray(X)[..., 0],
         controller_grad=lambda X: np.ones(np.shape(X)),
-        controller_hessian=lambda X: np.zeros(np.shape(X)[:-1] + (1, 1)),
-        lyapunov=lambda X: np.sum(np.square(X), axis=-1),
         setpoint=np.zeros(1), x_lo=-np.ones(1), x_hi=np.ones(1),
-        u_bound=1.0, C_f=1.0)
+        u_bound=1.0)
 
 
 def hand_profile(sys, grid, d_hat, values):

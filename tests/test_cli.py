@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from predictor_lab import cli
+from predictor_lab.dataset import DATASET_MAGIC, DATASET_VERSION
+from predictor_lab.neural_operator import FORMAT_VERSION
 
 
 def run_cli(args):
@@ -229,6 +231,39 @@ def test_train_missing_dataset_file(tmp_path, capsys):
                     "--out", str(tmp_path / "m.no")])
     assert code == cli.EXIT_USAGE
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("header, named", [
+    ('{"n": 1, "m": 3, "q": 3}', "'count'"),
+    ('{"n": 1, "m": 3, "q": 3, "count": "2"}', "'count'"),
+    ('[1, 3, 3, 2]', "JSON object"),
+])
+def test_malformed_dataset_header_is_a_usage_error(header, named, tmp_path,
+                                                   capsys):
+    path = tmp_path / "d.bin"
+    path.write_bytes(f"{DATASET_MAGIC} format_version={DATASET_VERSION}\n"
+                     f"{header}\n".encode())
+    code = run_cli(["train", "--dataset", str(path),
+                    "--out", str(tmp_path / "m.no")])
+    assert code == cli.EXIT_USAGE
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("layout, named", [
+    ("n=2 m=3 layers=1", "'d_c'"),
+    ("n=2 m=3 d_c layers=1", "'d_c'"),
+    ("n=2 m=x d_c=4 layers=1", "'m'"),
+])
+def test_malformed_model_layout_is_a_usage_error(layout, named, tmp_path,
+                                                 capsys):
+    path = tmp_path / "m.no"
+    path.write_text(f"predictor-operator-model format_version={FORMAT_VERSION}"
+                    f"\n{layout}\nend\n")
+    code = run_cli(["simulate", "--system", "protein", "--predictor",
+                    "neural", "--model", str(path), "--tf", "0.1",
+                    "--out", str(tmp_path / "r.csv")])
+    assert code == cli.EXIT_USAGE
+    assert named in capsys.readouterr().err
 
 
 def test_env_var_sets_log_level(monkeypatch, tmp_path, capsys):

@@ -49,6 +49,18 @@ def test_generate_dataset_validation():
         generate_dataset(tiny_linear_cfg(), 0, tiny_ranges())
 
 
+def test_provenance_records_the_stride_harvested_at():
+    """0.0029 s at dt 0.002 rounds to one step, so a 1 s source run yields
+    499 harvest points and 400 samples take one run."""
+    cfg = replace(tiny_linear_cfg(), t_final=1.0)
+    ds = generate_dataset(cfg, 400, tiny_ranges(), seed=3, m=11,
+                          stride_s=0.0029)
+    assert ds.provenance["runs"] == 1
+    assert ds.provenance["stride_s"] == 0.002
+    assert ds.provenance["config_hash"] == _config_hash(
+        cfg, tiny_ranges(), 11, 11, 0.002)
+
+
 def test_config_hash_covers_only_harvest_settings():
     """The per-run draws and the forced predictor leave the hash alone."""
     base = tiny_linear_cfg()

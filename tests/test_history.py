@@ -25,7 +25,7 @@ def test_push_then_sample_same_instant():
 @given(st.floats(-100.0, 100.0))
 @settings(max_examples=25, deadline=None)
 def test_constant_history_samples_constant(c):
-    h = pl.InputHistory(0.01, 0.5, t0=0.0, fill=c)
+    h = pl.InputHistory(0.01, 0.5, t0=0.0)
     for k in range(1, 101):
         h.push(k * 0.01, c)
     for theta in (1.0, 0.763, 0.5001, 0.9999):

@@ -18,14 +18,13 @@ def toy_system(dynamics, jacobian_state, n=1, controller=None,
     zero_vec = lambda X: np.zeros(np.shape(np.atleast_1d(X))[:-1] + (n,)) \
         if np.ndim(X) > 1 else np.zeros(n)
     return SystemModel(
-        name="toy", state_dim=n, dynamics=dynamics,
+        name="toy", dynamics=dynamics,
         jacobian_state=jacobian_state,
         jacobian_input=lambda X, u: np.zeros(np.shape(X)),
         controller=(controller or (lambda X: np.zeros(np.shape(X)[:-1]))),
         controller_grad=(controller_grad or (lambda X: np.zeros(np.shape(X)))),
-        lyapunov=lambda X: np.sum(np.square(X), axis=-1),
         setpoint=np.zeros(n), x_lo=-np.ones(n), x_hi=np.ones(n),
-        u_bound=1.0, C_f=1.0)
+        u_bound=1.0)
 
 
 def zero_dynamics_system(n=2):

@@ -12,6 +12,14 @@ def zero_history(sys, dt=1e-3, window=4.0):
     return pl.InputHistory(dt, window, t0=0.0)
 
 
+def constant_history(value, dt=1e-3, window=4.0):
+    """A history whose whole record, guard samples included, holds value."""
+    h = pl.InputHistory(dt, window, t0=0.0)
+    for k in range(1, int(round(window / dt)) + 4):
+        h.push(k * dt, value)
+    return h
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="dt"):
         pl.SimulationConfig(dt=0.0).validate()
@@ -34,14 +42,14 @@ def test_gamma_functional_values(linear):
     assert gamma_functional(linear, [0.0], h, 2.0, 2.0) == 0.0
     assert gamma_functional(linear, [1.0], h, 2.0, 2.0) == pytest.approx(1.0)
     assert gamma_functional(linear, [0.0], h, 2.0, 1.5) == pytest.approx(0.25)
-    h1 = pl.InputHistory(1e-3, 4.0, t0=0.0, fill=1.0)
+    h1 = constant_history(1.0)
     assert gamma_functional(linear, [0.0], h1, 2.0, 2.0) == pytest.approx(2.0)
 
 
 def test_upsilon_functional_values(linear):
     h = zero_history(linear)
     assert upsilon_functional(linear, [0.0], h, 2.0, 2.0) == 0.0
-    h1 = pl.InputHistory(1e-3, 4.0, t0=0.0, fill=1.0)
+    h1 = constant_history(1.0)
     assert upsilon_functional(linear, [0.0], h1, 1.5, 1.0) == pytest.approx(
         1.5 + 0.25, abs=1e-9)  # int |U| over max horizon + D-tilde^2
     # ramp record: int |U| = t - 1/2, int |U'| = 1 over horizon 1
