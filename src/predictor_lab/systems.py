@@ -6,12 +6,13 @@ for the predictor solvers.  All callables are vectorized over a leading
 batch axis so grid-wide evaluations stay in numpy.
 
 A plant declares only its equations, its setpoint and its box; the state
-dimension, the Lyapunov function and the controller Hessian are derived
-from them.  Building a plant needs numpy alone.  Its closed-loop
-equilibrium comes from a few Newton steps with the analytic Jacobian
-(``_newton_root``).  Its sampled Lipschitz constant ``C_f`` is computed on
-first read, taking SVDs only of the samples whose Frobenius norm can reach
-the maximum (``_estimate_lipschitz``).
+dimension, the Lyapunov function and the controller Hessian (always by
+central differences, ``hessian_or_fd``) are derived from them.  Building a
+plant needs numpy alone.  Its closed-loop equilibrium comes from a few
+Newton steps with the analytic Jacobian (``_newton_root``).  Its sampled
+Lipschitz constant ``C_f`` is computed on first read, taking SVDs only of
+the samples whose Frobenius norm can reach the maximum
+(``_estimate_lipschitz``).
 """
 
 from __future__ import annotations
