@@ -4,8 +4,10 @@ The network lifts each input node (a control sample, the state, or the
 delay estimate, each tagged with a coordinate) to a channel field, applies
 hidden layers combining a pointwise affine map with a mean-pooling kernel
 term, pools, and projects per query coordinate back to a state prediction.
-Forward, backward and the optimizer are plain numpy so the parameter
-gradients stay analytic and checkable.
+The query coordinate enters the projection only through a rank-one term,
+so the pooled field of a sample passes through the projection's first
+layer once, not once per query.  Forward, backward and the optimizer are
+plain numpy so the parameter gradients stay analytic and checkable.
 """
 
 from __future__ import annotations
@@ -134,7 +136,11 @@ def _forward_cached(model: NeuralOperatorModel, F: np.ndarray,
                     queries: np.ndarray):
     """Normalized-space forward pass, returning the cache for backprop.
 
-    Node and query axes are flattened so every contraction is one GEMM.
+    The node axis is flattened so each node-wise map is one GEMM.  The query
+    coordinate s enters the projection's first layer linearly, so
+    ``proj_W1 @ [z; s] = proj_W1[:, :d_c] @ z + s * proj_W1[:, d_c]``: one
+    (B, d_c) GEMM plus a rank-one broadcast over the queries.  Biases and
+    tanh are applied in place on each freshly produced GEMM output.
     """
     p = model.params
     B, P, in_dim = F.shape
@@ -142,29 +148,39 @@ def _forward_cached(model: NeuralOperatorModel, F: np.ndarray,
     d_c = model.d_c
 
     F2 = F.reshape(B * P, in_dim)
-    T1 = np.tanh(F2 @ p["lift_W1"].T + p["lift_b1"])
-    H = T1 @ p["lift_W2"].T + p["lift_b2"]          # (B*P, d_c)
+    T1 = F2 @ p["lift_W1"].T
+    T1 += p["lift_b1"]
+    np.tanh(T1, out=T1)
+    H = T1 @ p["lift_W2"].T                          # (B*P, d_c)
+    H += p["lift_b2"]
     hiddens = [H]
     means = []
     for l in range(1, model.layers + 1):
         M = H.reshape(B, P, d_c).mean(axis=1)
         means.append(M)
-        A = H @ p[f"hidden_W{l}"].T + p[f"hidden_b{l}"]
-        A = A.reshape(B, P, d_c)
-        A += (M @ p[f"hidden_V{l}"].T)[:, None, :]
-        H = np.tanh(A.reshape(B * P, d_c))
+        A = (H @ p[f"hidden_W{l}"].T).reshape(B, P, d_c)
+        A += (M @ p[f"hidden_V{l}"].T + p[f"hidden_b{l}"])[:, None, :]
+        H = np.tanh(A, out=A).reshape(B * P, d_c)
         hiddens.append(H)
     z = H.reshape(B, P, d_c).mean(axis=1)
 
-    G = np.empty((B, Q, d_c + 1))
-    G[:, :, :d_c] = z[:, None, :]
-    G[:, :, d_c] = queries
-    G2 = G.reshape(B * Q, d_c + 1)
-    Tq = np.tanh(G2 @ p["proj_W1"].T + p["proj_b1"])
-    Y = (Tq @ p["proj_W2"].T + p["proj_b2"]).reshape(B, Q, model.n)
+    W1 = p["proj_W1"]
+    Aq = ((z @ W1[:, :d_c].T + p["proj_b1"])[:, None, :]
+          + queries[:, None] * W1[:, d_c])          # (B, Q, d_c)
+    Tq = np.tanh(Aq, out=Aq).reshape(B * Q, d_c)
+    Y = Tq @ p["proj_W2"].T
+    Y += p["proj_b2"]
     cache = {"F2": F2, "T1": T1, "hiddens": hiddens, "means": means,
-             "G2": G2, "Tq": Tq, "B": B, "P": P, "Q": Q}
-    return Y, cache
+             "z": z, "queries": queries, "Tq": Tq, "B": B, "P": P, "Q": Q}
+    return Y.reshape(B, Q, model.n), cache
+
+
+def _tanh_backprop(T: np.ndarray, dT) -> np.ndarray:
+    """``dT * (1 - T**2)`` for a tanh output T, in one new array."""
+    out = np.multiply(T, T)
+    np.subtract(1.0, out, out=out)
+    out *= dT
+    return out
 
 
 def _backward(model: NeuralOperatorModel, dY: np.ndarray, cache: dict) -> dict:
@@ -174,32 +190,41 @@ def _backward(model: NeuralOperatorModel, dY: np.ndarray, cache: dict) -> dict:
     grads = {}
 
     dY2 = dY.reshape(B * Q, model.n)
-    Tq, G2 = cache["Tq"], cache["G2"]
+    Tq = cache["Tq"]
     grads["proj_W2"] = dY2.T @ Tq
     grads["proj_b2"] = dY2.sum(axis=0)
-    dAq = (dY2 @ p["proj_W2"]) * (1.0 - Tq * Tq)
-    grads["proj_W1"] = dAq.T @ G2
-    grads["proj_b1"] = dAq.sum(axis=0)
-    dG = dAq @ p["proj_W1"]
-    dz = dG[:, :d_c].reshape(B, Q, d_c).sum(axis=1)
+    dAq = _tanh_backprop(Tq, dY2 @ p["proj_W2"]).reshape(B, Q, d_c)
+    # reduce over the query axis first: z is shared by every query of a
+    # sample, and s by every sample
+    dAq_b = dAq.sum(axis=1)                          # (B, d_c)
+    dW1 = np.empty((d_c, d_c + 1))
+    dW1[:, :d_c] = dAq_b.T @ cache["z"]
+    dW1[:, d_c] = cache["queries"] @ dAq.sum(axis=0)
+    grads["proj_W1"] = dW1
+    grads["proj_b1"] = dAq_b.sum(axis=0)
+    dz = dAq_b @ p["proj_W1"][:, :d_c]
 
-    dH = np.repeat(dz / P, P, axis=0)               # (B*P, d_c)
+    # each node receives 1/P of the pooled gradient; (B, 1, d_c) broadcasts
+    # over the node axis of the (B, P, d_c) views
+    dH = (dz / P)[:, None, :]
     for l in range(model.layers, 0, -1):
-        H_out = cache["hiddens"][l]
+        H_out = cache["hiddens"][l].reshape(B, P, d_c)
         H_in = cache["hiddens"][l - 1]
         M = cache["means"][l - 1]
-        dA = dH * (1.0 - H_out * H_out)
-        dA_b = dA.reshape(B, P, d_c).sum(axis=1)
-        grads[f"hidden_W{l}"] = dA.T @ H_in
+        dA = _tanh_backprop(H_out, dH)
+        dA_b = dA.sum(axis=1)
+        dA2 = dA.reshape(B * P, d_c)
+        grads[f"hidden_W{l}"] = dA2.T @ H_in
         grads[f"hidden_b{l}"] = dA_b.sum(axis=0)
         grads[f"hidden_V{l}"] = dA_b.T @ M
-        dH = dA @ p[f"hidden_W{l}"]
-        dH += np.repeat((dA_b @ p[f"hidden_V{l}"]) / P, P, axis=0)
+        dH = (dA2 @ p[f"hidden_W{l}"]).reshape(B, P, d_c)
+        dH += ((dA_b @ p[f"hidden_V{l}"]) / P)[:, None, :]
+    dH = np.broadcast_to(dH, (B, P, d_c)).reshape(B * P, d_c)
 
     T1, F2 = cache["T1"], cache["F2"]
     grads["lift_W2"] = dH.T @ T1
     grads["lift_b2"] = dH.sum(axis=0)
-    dA1 = (dH @ p["lift_W2"]) * (1.0 - T1 * T1)
+    dA1 = _tanh_backprop(T1, dH @ p["lift_W2"])
     grads["lift_W1"] = dA1.T @ F2
     grads["lift_b1"] = dA1.sum(axis=0)
     return grads
@@ -235,18 +260,22 @@ def training_loss_and_grads(model: NeuralOperatorModel, X, u, d_hat,
         raise ValueError("training queries must start at s = 0")
     F = build_features(model, X, u, d_hat)
     Y, cache = _forward_cached(model, F, queries)
-    B, Q, n = Y.shape
-    resid = Y - targets_norm
-    loss = float(np.mean(resid * resid))
+    loss, resid, bresid = _loss(model, Y, X, targets_norm, boundary_weight)
     dY = 2.0 * resid / resid.size
-
-    X_norm = (X - model.norm_out_mu) / model.norm_out_sd
-    bresid = Y[:, 0, :] - X_norm
-    loss += boundary_weight * float(np.mean(bresid * bresid))
     dY[:, 0, :] += boundary_weight * 2.0 * bresid / bresid.size
 
     grads = _backward(model, dY, cache)
     return loss, grads
+
+
+def _loss(model: NeuralOperatorModel, Y, X, targets_norm, boundary_weight):
+    """Training loss of normalized outputs Y, with the residuals of its two
+    terms: (loss, Y - targets, Y[:, 0] - normalized X)."""
+    resid = Y - targets_norm
+    loss = float(np.mean(resid * resid))
+    bresid = Y[:, 0, :] - (X - model.norm_out_mu) / model.norm_out_sd
+    loss += boundary_weight * float(np.mean(bresid * bresid))
+    return loss, resid, bresid
 
 
 class AdamState:
@@ -331,9 +360,10 @@ def train(dataset, cfg: TrainingConfig, d_c: int = 64, layers: int = 2,
         total, count = 0.0, 0
         for i in range(0, len(idx), 512):
             sel = idx[i:i + 512]
-            loss, _ = training_loss_and_grads(
-                model, X[sel], u[sel], d_hat[sel], t_norm[sel], queries,
-                boundary_weight)
+            F = build_features(model, X[sel], u[sel], d_hat[sel])
+            Y, _ = _forward_cached(model, F, queries)
+            loss, _, _ = _loss(model, Y, X[sel], t_norm[sel],
+                               boundary_weight)
             total += loss * len(sel)
             count += len(sel)
         return total / count

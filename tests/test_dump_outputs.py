@@ -32,12 +32,20 @@ def test_two_dumps_of_the_tree_are_equal(tmp_path, capsys):
                  "linear/C_f"):
         assert name in arrays
 
-    # one changed bit and one missing name are both reported
-    arrays["cold/values"] = np.nextafter(arrays["cold/values"], np.inf)
+    # one changed bit, a scaled array and one missing name are all reported,
+    # the first two with their largest absolute and relative differences
+    values = arrays["cold/values"]
+    arrays["cold/values"] = np.nextafter(values, np.inf)
+    arrays["harvest0/targets"] = 1.5 * arrays["harvest0/targets"]
     del arrays["linear/setpoint"]
     np.savez(second, **arrays)
     assert tool.main(["--compare", str(first), str(second)]) == 1
     out = capsys.readouterr().out
-    assert "cold/values array_equal=False" in out
-    assert "linear/setpoint array_equal=False" in out
-    assert out.splitlines()[-1].endswith("2 differ")
+    ulp = np.abs(arrays["cold/values"] - values).max()
+    assert (f"cold/values array_equal=False max_abs={ulp:.3e} "
+            "max_rel=") in out
+    targets = np.abs(arrays["harvest0/targets"]).max() / 3.0
+    assert (f"harvest0/targets array_equal=False max_abs={targets:.3e} "
+            f"max_rel={1 / 3:.3e}") in out
+    assert "linear/setpoint array_equal=False\n" in out
+    assert out.splitlines()[-1].endswith("3 differ")

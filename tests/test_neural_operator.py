@@ -83,6 +83,133 @@ def test_permutation_contract():
     assert np.allclose(Y0, Y1, atol=1e-13)
 
 
+def reference_forward(model, F, queries):
+    """The projection as one GEMM over the concatenated [z; s] rows of every
+    (sample, query) pair, with the cache reference_backward reads."""
+    p = model.params
+    B, P, in_dim = F.shape
+    Q, d_c = len(queries), model.d_c
+    F2 = F.reshape(B * P, in_dim)
+    T1 = np.tanh(F2 @ p["lift_W1"].T + p["lift_b1"])
+    H = T1 @ p["lift_W2"].T + p["lift_b2"]
+    hiddens, means = [H], []
+    for l in range(1, model.layers + 1):
+        M = H.reshape(B, P, d_c).mean(axis=1)
+        means.append(M)
+        A = (H @ p[f"hidden_W{l}"].T + p[f"hidden_b{l}"]).reshape(B, P, d_c)
+        A += (M @ p[f"hidden_V{l}"].T)[:, None, :]
+        H = np.tanh(A.reshape(B * P, d_c))
+        hiddens.append(H)
+    z = H.reshape(B, P, d_c).mean(axis=1)
+    G = np.empty((B, Q, d_c + 1))
+    G[:, :, :d_c] = z[:, None, :]
+    G[:, :, d_c] = queries
+    G2 = G.reshape(B * Q, d_c + 1)
+    Tq = np.tanh(G2 @ p["proj_W1"].T + p["proj_b1"])
+    Y = (Tq @ p["proj_W2"].T + p["proj_b2"]).reshape(B, Q, model.n)
+    return Y, (F2, T1, hiddens, means, G2, Tq)
+
+
+def reference_backward(model, dY, cache):
+    F2, T1, hiddens, means, G2, Tq = cache
+    p = model.params
+    B, Q, n = dY.shape
+    d_c = model.d_c
+    P = F2.shape[0] // B
+    grads = {}
+    dY2 = dY.reshape(B * Q, n)
+    grads["proj_W2"] = dY2.T @ Tq
+    grads["proj_b2"] = dY2.sum(axis=0)
+    dAq = (dY2 @ p["proj_W2"]) * (1.0 - Tq * Tq)
+    grads["proj_W1"] = dAq.T @ G2
+    grads["proj_b1"] = dAq.sum(axis=0)
+    dz = (dAq @ p["proj_W1"])[:, :d_c].reshape(B, Q, d_c).sum(axis=1)
+    dH = np.repeat(dz / P, P, axis=0)
+    for l in range(model.layers, 0, -1):
+        dA = dH * (1.0 - hiddens[l] * hiddens[l])
+        dA_b = dA.reshape(B, P, d_c).sum(axis=1)
+        grads[f"hidden_W{l}"] = dA.T @ hiddens[l - 1]
+        grads[f"hidden_b{l}"] = dA_b.sum(axis=0)
+        grads[f"hidden_V{l}"] = dA_b.T @ means[l - 1]
+        dH = dA @ p[f"hidden_W{l}"]
+        dH += np.repeat((dA_b @ p[f"hidden_V{l}"]) / P, P, axis=0)
+    grads["lift_W2"] = dH.T @ T1
+    grads["lift_b2"] = dH.sum(axis=0)
+    dA1 = (dH @ p["lift_W2"]) * (1.0 - T1 * T1)
+    grads["lift_W1"] = dA1.T @ F2
+    grads["lift_b1"] = dA1.sum(axis=0)
+    return grads
+
+
+def max_rel_err(a, b):
+    return np.abs(a - b).max() / np.abs(b).max()
+
+
+@pytest.mark.parametrize("layers", [0, 1, 2])
+@pytest.mark.parametrize("Q", [1, 7])
+@pytest.mark.parametrize("B", [1, 5])
+def test_factored_projection_matches_concatenated_reference(B, Q, layers):
+    """The rank-one query term and the query-first reductions give the
+    concatenated-[z; s] outputs and gradients up to rounding."""
+    model = small_model(seed=B + Q, layers=layers)
+    rng = np.random.default_rng(layers)
+    for value in model.params.values():
+        value += 0.3 * rng.normal(size=value.shape)  # nonzero biases
+    X, u, d = random_inputs(model, B, seed=Q)
+    q = np.linspace(0, 1, Q) if Q > 1 else np.array([0.4])
+    F = no.build_features(model, X, u, d)
+    Y, cache = no._forward_cached(model, F, q)
+    Y_ref, ref_cache = reference_forward(model, F, q)
+    assert max_rel_err(Y, Y_ref) <= 1e-12
+    dY = rng.normal(size=Y.shape)
+    grads = no._backward(model, dY, cache)
+    ref = reference_backward(model, dY, ref_cache)
+    assert grads.keys() == ref.keys()
+    for name in ref:
+        assert max_rel_err(grads[name], ref[name]) <= 1e-12, name
+
+
+def test_batched_forward_rows_match_single_forwards():
+    model = small_model(seed=6, d_c=16)
+    X, u, d = random_inputs(model, 64, seed=4)
+    q = np.linspace(0, 1, 21)
+    batch = no.forward(model, X, u, d, q)
+    for i in range(64):
+        single = no.forward(model, X[i], u[i], float(d[i]), q)
+        assert max_rel_err(batch[i], single) <= 1e-12
+
+
+def test_forward_and_training_leave_their_inputs_unchanged():
+    model = small_model(seed=8)
+    rng = np.random.default_rng(5)
+    model.norm_in_mu = rng.normal(size=model.n + 2)
+    model.norm_out_mu = rng.normal(size=model.n)
+    model.norm_out_sd = 1.0 + rng.random(model.n)
+    X, u, d = random_inputs(model, 6, seed=5)
+    q = np.linspace(0, 1, 5)
+    targets = rng.normal(size=(6, 5, model.n))
+    inputs = (X, u, d, q, targets)
+    before = [a.copy() for a in inputs]
+    params = {k: v.copy() for k, v in model.params.items()}
+    first = no.forward(model, X, u, d, q)
+    no.training_loss_and_grads(model, X, u, d, targets, q)
+    second = no.forward(model, X, u, d, q)
+    assert all(np.array_equal(a, b) for a, b in zip(inputs, before))
+    assert all(np.array_equal(model.params[k], v) for k, v in params.items())
+    assert np.array_equal(first, second)
+    assert not np.shares_memory(first, second)
+
+
+def test_validation_loss_is_the_training_loss_without_backprop():
+    model = small_model(seed=3)
+    X, u, d = random_inputs(model, 9, seed=6)
+    q = np.linspace(0, 1, 5)
+    targets = np.random.default_rng(6).normal(size=(9, 5, model.n))
+    loss, _ = no.training_loss_and_grads(model, X, u, d, targets, q)
+    Y, _ = no._forward_cached(model, no.build_features(model, X, u, d), q)
+    assert no._loss(model, Y, X, targets, 0.1)[0] == loss
+
+
 def test_normalization_round_trip():
     rng = np.random.default_rng(11)
     mu, sd = rng.normal(size=3), 1.0 + rng.random(3)

@@ -14,8 +14,11 @@ sizes:
 
 The second form prints each array name with whether the two dumps hold
 ``np.array_equal`` arrays under it, and exits 1 if any differ or either dump
-lacks a name.  Dumping a change and its parent, each in its own process,
-shows whether the change kept every output bit for bit.
+lacks a name.  For numeric arrays of one shape that differ it also prints
+the largest absolute difference and the largest elementwise relative
+difference |a - b| / max(|a|, |b|).  Dumping a change and its parent, each in
+its own process, shows whether the change kept every output bit for bit,
+and if not, how far it moved each one.
 """
 
 from __future__ import annotations
@@ -104,6 +107,19 @@ def compare(a: dict, b: dict) -> list:
             for name in sorted(set(a) | set(b))]
 
 
+def difference(a: np.ndarray, b: np.ndarray) -> str:
+    """Largest absolute and relative difference of two numeric arrays of
+    one shape, or "" if they cannot be subtracted."""
+    numeric = all(np.issubdtype(x.dtype, np.number) for x in (a, b))
+    if not numeric or a.shape != b.shape or a.size == 0:
+        return ""
+    a, b = a.astype(float), b.astype(float)
+    gap = np.abs(a - b)
+    scale = np.maximum(np.abs(a), np.abs(b))
+    rel = np.divide(gap, scale, out=np.zeros_like(gap), where=scale > 0)
+    return f" max_abs={gap.max():.3e} max_rel={rel.max():.3e}"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--compare", action="store_true",
@@ -115,9 +131,13 @@ def main(argv=None) -> int:
         np.savez(args.second, **dump(args.first))
         return 0
     with np.load(args.first) as a, np.load(args.second) as b:
-        rows = compare(dict(a), dict(b))
+        a, b = dict(a), dict(b)
+    rows = compare(a, b)
     for name, equal in rows:
-        print(f"{name} array_equal={equal}")
+        detail = ""
+        if not equal and name in a and name in b:
+            detail = difference(a[name], b[name])
+        print(f"{name} array_equal={equal}{detail}")
     differ = sum(not equal for _, equal in rows)
     print(f"{len(rows)} arrays compared, {differ} differ")
     return 1 if differ else 0
