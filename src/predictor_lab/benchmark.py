@@ -10,7 +10,7 @@ from typing import Optional
 
 import numpy as np
 
-from .neural_operator import NeuralOperatorModel, forward
+from .neural_operator import NeuralOperatorModel, check_state_dim, forward
 from .predictor import PredictorGrid, solve_fixed_point
 from .systems import SystemModel
 
@@ -129,22 +129,23 @@ def _timed(fn, count: int, n_trials: int, warmup: int):
     return float(timed.mean()), float(timed.std())
 
 
-def benchmark_predictors(sys: SystemModel, backends: list, dx_list: list,
-                         n_trials: int, corpus: dict,
-                         model: NeuralOperatorModel = None,
+def benchmark_predictors(sys: SystemModel, dx_list: list, n_trials: int,
+                         corpus: dict, model: NeuralOperatorModel = None,
                          warmup: int = WARMUP_SOLVES) -> BenchReport:
     """Mean solve wall-time per (dx, backend) cell over a shared corpus.
 
-    Only the solve is timed; input resampling onto each backend's grid is
-    precomputed.  A failing backend marks its cell with the exception and
-    the corpus index that raised it, and the run continues.
+    The numeric backend always runs, as the speedup baseline; the neural
+    backend runs when a ``model`` is given.  Only the solve is timed; input
+    resampling onto each backend's grid is precomputed.  A failing backend
+    marks its cell with the exception and the corpus index that raised it,
+    and the run continues.
     """
     if n_trials < 1:
         raise ValueError(f"trials={n_trials} must be at least 1")
     if len(corpus["X"]) == 0:
         raise ValueError("empty benchmark corpus")
-    if "neural" in backends and model is None:
-        raise ValueError("neural backend requires a trained model")
+    if model is not None:
+        check_state_dim(model, sys)
     grids = [PredictorGrid.from_dx(dx) for dx in dx_list]
     report = BenchReport(corpus_hash=corpus_hash(corpus))
     count = len(corpus["X"])
@@ -154,21 +155,15 @@ def benchmark_predictors(sys: SystemModel, backends: list, dx_list: list,
     for dx, grid in zip(dx_list, grids):
         u_nodes = np.array([np.interp(grid.points, x_fine, u_fine[i])
                             for i in range(count)])
-        u_model = None
+        backends = {"numeric": lambda j: solve_fixed_point(
+            sys, X[j], lambda x: u_nodes[j], d[j], grid, tol=SOLVER_TOL)}
         if model is not None:
             u_model = np.array([np.interp(model.input_grid, x_fine, u_fine[i])
                                 for i in range(count)])
+            backends["neural"] = lambda j: forward(model, X[j], u_model[j],
+                                                   d[j], grid.points)
         numeric_mean = None
-        for backend in backends:
-            if backend == "numeric":
-                def fn(j, _g=grid):
-                    solve_fixed_point(sys, X[j], lambda x: u_nodes[j], d[j],
-                                      _g, tol=SOLVER_TOL)
-            elif backend == "neural":
-                def fn(j, _g=grid):
-                    forward(model, X[j], u_model[j], d[j], _g.points)
-            else:
-                raise ValueError(f"unknown backend {backend!r}")
+        for backend, fn in backends.items():
             try:
                 mean_s, std_s = _timed(fn, count, n_trials, warmup)
             except _CallFailed as failure:

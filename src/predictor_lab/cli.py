@@ -1,5 +1,11 @@
 """Command-line entry point: simulate, gen-dataset, train, benchmark, verify.
 
+A flag that sets a setting has the setting's name as its ``dest``: a field of
+``SimulationConfig``, ``SampleRanges`` or ``TrainingConfig``, or a keyword of
+the library call.  It defaults to ``None``, and a command passes on only the
+flags that were given, so each default lives once, in the dataclass or the
+signature.  A system's preset is a ``SimulationConfig`` value.
+
 ``--config FILE`` reads a flat key=value file in which each key is the name
 of one of the subcommand's flags without its dashes (``tf=3`` is ``--tf 3``,
 ``linear-a=2`` is ``--linear-a 2``).  The file's lines are parsed as flags in
@@ -11,8 +17,10 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys as _sys
+from dataclasses import fields, replace
 
 from . import benchmark as bench
 from . import dataset as ds
@@ -38,15 +46,16 @@ DATASET_PRESETS = {
                               d_true=(0.5, 2.0), d_hat0=(0.5, 2.0)),
 }
 
+# SimulationConfig's defaults are the protein scenario
 SIM_PRESETS = {
-    "protein": dict(x0=(0.03, 30.0), d_true=1.0, d_hat0=2.0, d_min=0.5,
-                    d_max=2.5, gamma=1000.0, b=1.0, t_final=40.0,
-                    law="measured"),
-    "chemostat": dict(x0=(2.0, 2.0), d_true=1.6, d_hat0=1.8, d_min=1.0,
-                      d_max=2.2, gamma=0.2, b=1.0, t_final=30.0,
-                      law="unmeasured"),
-    "linear": dict(x0=(1.0,), d_true=1.0, d_hat0=1.5, d_min=0.2, d_max=2.0,
-                   gamma=10.0, b=1.0, t_final=10.0, law="measured"),
+    "protein": SimulationConfig(),
+    "chemostat": SimulationConfig(system="chemostat", x0=(2.0, 2.0),
+                                  d_true=1.6, d_hat0=1.8, d_min=1.0,
+                                  d_max=2.2, gamma=0.2, t_final=30.0,
+                                  law="unmeasured"),
+    "linear": SimulationConfig(system="linear", x0=(1.0,), d_hat0=1.5,
+                               d_min=0.2, d_max=2.0, gamma=10.0,
+                               t_final=10.0),
 }
 
 
@@ -78,31 +87,30 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
-def _or(value, default):
-    return default if value is None else value
+def _pair(text: str) -> tuple:
+    """``lo,hi``: exactly two finite numbers with lo <= hi."""
+    pair = _floats(text)
+    if len(pair) != 2 or not -math.inf < pair[0] <= pair[1] < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"expected lo,hi with finite lo <= hi, got {text!r}")
+    return pair
+
+
+def _names(cls) -> set:
+    return {f.name for f in fields(cls)}
+
+
+def _given(args, names) -> dict:
+    """The flags among ``names`` that were given, by dest."""
+    return {k: v for k, v in vars(args).items()
+            if k in names and v is not None}
 
 
 def cmd_simulate(args) -> int:
-    preset = SIM_PRESETS[args.system]
-    cfg = SimulationConfig(
-        system=args.system,
-        x0=_or(args.x0, preset["x0"]),
-        d_true=_or(args.D, preset["d_true"]),
-        d_hat0=_or(args.dhat0, preset["d_hat0"]),
-        d_min=_or(args.dmin, preset["d_min"]),
-        d_max=_or(args.dmax, preset["d_max"]),
-        gamma=_or(args.gamma, preset["gamma"]),
-        b=_or(args.b, preset["b"]),
-        dt=args.dt,
-        t_final=_or(args.tf, preset["t_final"]),
-        predictor=args.predictor,
-        law=_or(args.law, preset["law"]),
-        grid_points=PredictorGrid.from_dx(args.dx).n_points,
-        model_path=args.model,
-        control_clip=args.clip,
-        linear_a=args.linear_a,
-        linear_b=args.linear_b,
-    )
+    given = _given(args, _names(SimulationConfig))
+    if args.dx is not None:
+        given["grid_points"] = PredictorGrid.from_dx(args.dx).n_points
+    cfg = replace(SIM_PRESETS[args.system], **given)
     if cfg.t_final <= 0 or cfg.dt <= 0:
         print("error: tf and dt must be positive", file=_sys.stderr)
         return EXIT_USAGE
@@ -121,29 +129,16 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_gen_dataset(args) -> int:
-    preset = DATASET_PRESETS[args.system]
-    sim_preset = SIM_PRESETS[args.system]
-    ranges = ds.SampleRanges(
-        x0_lo=_or(args.x0_lo, preset.x0_lo),
-        x0_hi=_or(args.x0_hi, preset.x0_hi),
-        d_true=_or(args.d_range, preset.d_true),
-        d_hat0=_or(args.dhat0_range, preset.d_hat0),
-    )
-    base = SimulationConfig(
-        system=args.system,
-        d_min=_or(args.dmin, sim_preset["d_min"]),
-        d_max=_or(args.dmax, sim_preset["d_max"]),
-        gamma=_or(args.gamma, sim_preset["gamma"]),
-        b=_or(args.b, sim_preset["b"]),
-        dt=args.dt,
-        t_final=args.tf,
-        law=_or(args.law, sim_preset["law"]),
-        grid_points=args.grid,
-    )
+    range_names = _names(ds.SampleRanges)
+    ranges = replace(DATASET_PRESETS[args.system],
+                     **_given(args, range_names))
+    # d_true and d_hat0 are drawn per source run from their ranges
+    base = replace(SIM_PRESETS[args.system],
+                   **_given(args, _names(SimulationConfig) - range_names))
     try:
-        data = ds.generate_dataset(base, args.n, ranges, seed=args.seed,
-                                   m=args.m, q=args.q, stride_s=args.stride,
-                                   jobs=args.jobs)
+        data = ds.generate_dataset(
+            base, args.n, ranges,
+            **_given(args, ("seed", "m", "q", "stride_s", "jobs")))
     except (RuntimeError, PredictorError) as exc:
         print(f"dataset generation failed: {exc}", file=_sys.stderr)
         return EXIT_DOMAIN
@@ -155,17 +150,14 @@ def cmd_gen_dataset(args) -> int:
 
 def cmd_train(args) -> int:
     data = ds.load_dataset(args.dataset)
-    cfg = no.TrainingConfig(
-        learning_rate=args.lr, batch_size=args.batch, epochs=args.epochs,
-        early_stop_patience=args.patience,
-        validation_fraction=args.val_fraction, seed=args.seed)
+    cfg = no.TrainingConfig(**_given(args, _names(no.TrainingConfig)))
     try:
-        model, report = no.train(data, cfg, d_c=args.dc, layers=args.layers)
+        model, report = no.train(data, cfg, **_given(args, ("d_c", "layers")))
     except (ValueError, RuntimeError) as exc:
         print(f"training failed: {exc}", file=_sys.stderr)
         return EXIT_DOMAIN
     no.save_model(model, args.out)
-    print(f"trained d_c={args.dc} L={args.layers}: "
+    print(f"trained d_c={model.d_c} L={model.layers}: "
           f"train_err={report['train_err']:.3e} "
           f"test_eps={report['test_err']:.4f} "
           f"epochs={report['epochs_run']} -> {args.out}")
@@ -175,12 +167,11 @@ def cmd_train(args) -> int:
 def cmd_benchmark(args) -> int:
     sys_model = make_system(args.system)
     model = no.load_model(args.model) if args.model else None
-    backends = args.backends.split(",")
     dx_list = [float(v) for v in args.dx.split(",")]
-    corpus = bench.make_corpus(sys_model, args.corpus_size,
-                               d_range=_floats(args.d_range), seed=args.seed)
-    report = bench.benchmark_predictors(sys_model, backends, dx_list,
-                                        args.trials, corpus, model=model)
+    corpus = bench.make_corpus(sys_model, args.corpus_size, args.d_range,
+                               **_given(args, ("seed",)))
+    report = bench.benchmark_predictors(sys_model, dx_list, args.trials,
+                                        corpus, model=model)
     if args.out:
         report.write_csv(args.out)
     for cell in report.cells:
@@ -196,7 +187,7 @@ def cmd_benchmark(args) -> int:
 def cmd_verify(args) -> int:
     names = None if args.suite in (None, "all") else [args.suite]
     try:
-        results = verify_mod.run_suites(names, seed=args.seed)
+        results = verify_mod.run_suites(names, **_given(args, ("seed",)))
     except ValueError as exc:
         print(f"error: {exc}", file=_sys.stderr)
         return EXIT_USAGE
@@ -216,24 +207,24 @@ def build_parser() -> argparse.ArgumentParser:
                          allow_abbrev=False)
     sim.add_argument("--config", help=config_help)
     sim.add_argument("--system", choices=list(SIM_PRESETS), default="protein")
-    sim.add_argument("--predictor", choices=PREDICTOR_CHOICES,
-                     default="numeric_fixed_point")
+    sim.add_argument("--predictor", choices=PREDICTOR_CHOICES)
     sim.add_argument("--law", choices=LAW_CHOICES)
-    sim.add_argument("--D", type=float, help="true delay")
-    sim.add_argument("--dhat0", type=float)
-    sim.add_argument("--dmin", type=float)
-    sim.add_argument("--dmax", type=float)
+    sim.add_argument("--D", dest="d_true", type=float, help="true delay")
+    sim.add_argument("--dhat0", dest="d_hat0", type=float)
+    sim.add_argument("--dmin", dest="d_min", type=float)
+    sim.add_argument("--dmax", dest="d_max", type=float)
     sim.add_argument("--gamma", type=float)
     sim.add_argument("--b", type=float)
     sim.add_argument("--x0", type=_floats)
-    sim.add_argument("--tf", type=float)
-    sim.add_argument("--dt", type=float, default=1e-3)
-    sim.add_argument("--dx", type=float, default=0.005,
-                     help="predictor grid step")
-    sim.add_argument("--model", help="trained model for --predictor neural")
-    sim.add_argument("--clip", type=_floats, help="control clip lo,hi")
-    sim.add_argument("--linear-a", type=float, default=-0.5)
-    sim.add_argument("--linear-b", type=float, default=1.0)
+    sim.add_argument("--tf", dest="t_final", type=float)
+    sim.add_argument("--dt", type=float)
+    sim.add_argument("--dx", type=float, help="predictor grid step")
+    sim.add_argument("--model", dest="model_path",
+                     help="trained model for --predictor neural")
+    sim.add_argument("--clip", dest="control_clip", type=_pair,
+                     help="control clip lo,hi")
+    sim.add_argument("--linear-a", type=float)
+    sim.add_argument("--linear-b", type=float)
     sim.add_argument("--out", help="trace CSV path")
     sim.set_defaults(fn=cmd_simulate)
 
@@ -243,23 +234,23 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--system", choices=list(DATASET_PRESETS),
                      default="protein")
     gen.add_argument("--n", type=int, default=1000, help="number of samples")
-    gen.add_argument("--m", type=int, default=41)
+    gen.add_argument("--m", type=int)
     gen.add_argument("--q", type=int)
-    gen.add_argument("--grid", type=int, default=41)
-    gen.add_argument("--stride", type=float, default=0.1)
+    gen.add_argument("--grid", dest="grid_points", type=int, default=41)
+    gen.add_argument("--stride", dest="stride_s", type=float)
     gen.add_argument("--dt", type=float, default=2e-3)
-    gen.add_argument("--tf", type=float, default=16.0)
+    gen.add_argument("--tf", dest="t_final", type=float, default=16.0)
     gen.add_argument("--law", choices=LAW_CHOICES)
     gen.add_argument("--gamma", type=float)
     gen.add_argument("--b", type=float)
-    gen.add_argument("--dmin", type=float)
-    gen.add_argument("--dmax", type=float)
+    gen.add_argument("--dmin", dest="d_min", type=float)
+    gen.add_argument("--dmax", dest="d_max", type=float)
     gen.add_argument("--x0-lo", type=_floats)
     gen.add_argument("--x0-hi", type=_floats)
-    gen.add_argument("--d-range", type=_floats)
-    gen.add_argument("--dhat0-range", type=_floats)
-    gen.add_argument("--jobs", type=int, default=1)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--d-range", dest="d_true", type=_pair)
+    gen.add_argument("--dhat0-range", dest="d_hat0", type=_pair)
+    gen.add_argument("--jobs", type=int)
+    gen.add_argument("--seed", type=int)
     gen.add_argument("--out", required=True)
     gen.set_defaults(fn=cmd_gen_dataset)
 
@@ -267,26 +258,25 @@ def build_parser() -> argparse.ArgumentParser:
                         allow_abbrev=False)
     tr.add_argument("--dataset", required=True)
     tr.add_argument("--out", required=True)
-    tr.add_argument("--dc", type=int, default=64)
-    tr.add_argument("--layers", type=int, default=2)
-    tr.add_argument("--epochs", type=int, default=300)
-    tr.add_argument("--patience", type=int, default=40)
-    tr.add_argument("--lr", type=float, default=1e-3)
-    tr.add_argument("--batch", type=int, default=64)
-    tr.add_argument("--val-fraction", type=float, default=0.1)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--dc", dest="d_c", type=int)
+    tr.add_argument("--layers", type=int)
+    tr.add_argument("--epochs", type=int)
+    tr.add_argument("--patience", dest="early_stop_patience", type=int)
+    tr.add_argument("--lr", dest="learning_rate", type=float)
+    tr.add_argument("--batch", dest="batch_size", type=int)
+    tr.add_argument("--val-fraction", dest="validation_fraction", type=float)
+    tr.add_argument("--seed", type=int)
     tr.set_defaults(fn=cmd_train)
 
     bm = sub.add_parser("benchmark", help="latency comparison of backends",
                         allow_abbrev=False)
     bm.add_argument("--system", default="protein")
-    bm.add_argument("--model", help="trained model for the neural backend")
-    bm.add_argument("--backends", default="numeric,neural")
+    bm.add_argument("--model", help="trained model; adds the neural backend")
     bm.add_argument("--dx", default="0.01,0.005,0.001")
     bm.add_argument("--trials", type=int, default=1000)
     bm.add_argument("--corpus-size", type=int, default=64)
-    bm.add_argument("--d-range", default="0.5,2.0")
-    bm.add_argument("--seed", type=int, default=0)
+    bm.add_argument("--d-range", type=_pair, default=(0.5, 2.0))
+    bm.add_argument("--seed", type=int)
     bm.add_argument("--out")
     bm.set_defaults(fn=cmd_benchmark)
 
@@ -294,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                          allow_abbrev=False)
     ver.add_argument("--suite", default="all",
                      help="one of: all, " + ", ".join(verify_mod.SUITES))
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=int)
     ver.set_defaults(fn=cmd_verify)
     return parser
 

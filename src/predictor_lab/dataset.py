@@ -108,7 +108,7 @@ def _source_run(args) -> dict:
         nonlocal skipped_samples
         if k == 0 or k % stride_steps:
             return
-        delay = d_hat if cfg.law == "unmeasured" else cfg.d_true
+        delay = cfg.predictor_delay(d_hat)
         u_m = delayed_input_sampler(hist, t, delay)(m_grid)
         try:
             values, residual = solve_target(sys, X, u_m, d_hat, q, tol=tol)

@@ -250,6 +250,14 @@ def forward(model: NeuralOperatorModel, X, u_samples, d_hat, queries):
     return Y[0] if single else Y
 
 
+def check_state_dim(model: NeuralOperatorModel, sys) -> None:
+    """Raise a ValueError unless ``model`` maps states of the plant ``sys``."""
+    if model.n != sys.state_dim:
+        raise ValueError(f"operator state dimension {model.n} does not match "
+                         f"the state dimension {sys.state_dim} of the "
+                         f"{sys.name} plant")
+
+
 def training_loss_and_grads(model: NeuralOperatorModel, X, u, d_hat,
                             targets_norm, queries, boundary_weight=0.1):
     """Normalized MSE plus the s=0 boundary-consistency penalty, with grads.

@@ -16,7 +16,7 @@ from .adaptation import (LAW_CHOICES, AdaptationState,
 from .history import (InputHistory, delayed_input_sampler,
                       distributed_input_xderiv, run_window_functionals,
                       window_functionals)
-from .neural_operator import forward, load_model
+from .neural_operator import check_state_dim, forward, load_model
 from .predictor import (PredictorError, PredictorGrid, PredictorProfile,
                         integral_residual, q1_scan, solve_fixed_point)
 from .systems import SystemModel, make_system
@@ -52,6 +52,11 @@ class SimulationConfig:
     solver_max_iter: int = 200
     linear_a: float = -0.5
     linear_b: float = 1.0
+
+    def predictor_delay(self, d_hat: float) -> float:
+        """The delay over which the predictor reads the input history: the
+        estimate under the unmeasured law, else the true delay."""
+        return d_hat if self.law == "unmeasured" else self.d_true
 
     def validate(self):
         """Reject a configuration that ``run`` cannot execute.
@@ -162,6 +167,7 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
                          f"{sys.state_dim} of the {sys.name} plant")
     if cfg.predictor == "neural":
         model = load_model(cfg.model_path)
+        check_state_dim(model, sys)
 
     clip = cfg.control_clip
     if clip is None and sys.control_lo is not None:
@@ -200,8 +206,8 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         elif cfg.predictor == "uncompensated":
             u_raw = float(sys.controller(X))
         else:
-            profile_delay = d_hat if cfg.law == "unmeasured" else cfg.d_true
-            sampler = delayed_input_sampler(hist, t, profile_delay)
+            sampler = delayed_input_sampler(hist, t,
+                                            cfg.predictor_delay(d_hat))
             try:
                 tic = time.perf_counter()
                 if cfg.predictor == "numeric_fixed_point":

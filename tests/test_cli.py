@@ -1,5 +1,7 @@
 """CLI surface: subcommand grammar, exit codes, config/flag precedence."""
 
+import dataclasses
+import inspect
 import subprocess
 import sys as _sys
 from pathlib import Path
@@ -8,8 +10,11 @@ import numpy as np
 import pytest
 
 from predictor_lab import cli
-from predictor_lab.dataset import DATASET_MAGIC, DATASET_VERSION
-from predictor_lab.neural_operator import FORMAT_VERSION
+from predictor_lab.dataset import (DATASET_MAGIC, DATASET_VERSION,
+                                   PER_RUN_FIELDS, PredictorDataset,
+                                   save_dataset)
+from predictor_lab.neural_operator import (FORMAT_VERSION, init_model,
+                                           save_model)
 
 
 def run_cli(args):
@@ -35,7 +40,7 @@ def test_simulate_rejects_nonpositive_tf(capsys, tmp_path):
 
 @pytest.mark.parametrize("command", [
     ["simulate", "--system", "linear", "--tf", "0.01"],
-    ["benchmark", "--system", "linear", "--backends", "numeric"],
+    ["benchmark", "--system", "linear"],
 ])
 def test_zero_dx_is_a_usage_error(command, capsys):
     assert run_cli(command + ["--dx", "0"]) == cli.EXIT_USAGE
@@ -47,9 +52,8 @@ def test_benchmark_prints_why_a_cell_failed(monkeypatch, capsys):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli.bench, "solve_fixed_point", broken)
-    code = run_cli(["benchmark", "--system", "linear", "--backends",
-                    "numeric", "--dx", "0.05", "--trials", "2",
-                    "--corpus-size", "3"])
+    code = run_cli(["benchmark", "--system", "linear", "--dx", "0.05",
+                    "--trials", "2", "--corpus-size", "3"])
     assert code == cli.EXIT_DOMAIN
     assert ("numeric  failed on corpus input 0: RuntimeError: boom"
             in capsys.readouterr().out)
@@ -169,8 +173,8 @@ def test_gen_dataset_without_harvest_point_is_a_usage_error(tmp_path):
 
 
 def test_benchmark_rejects_zero_trials(capsys):
-    assert run_cli(["benchmark", "--system", "linear", "--backends",
-                    "numeric", "--trials", "0"]) == cli.EXIT_USAGE
+    assert run_cli(["benchmark", "--system", "linear",
+                    "--trials", "0"]) == cli.EXIT_USAGE
     assert "trials=0" in capsys.readouterr().err
 
 
@@ -217,8 +221,7 @@ def test_dataset_train_benchmark_pipeline(tmp_path, capsys):
 
     bench_path = tmp_path / "bench.csv"
     code = run_cli(["benchmark", "--system", "linear", "--model",
-                    str(model_path), "--backends", "numeric,neural",
-                    "--dx", "0.05,0.02", "--trials", "20",
+                    str(model_path), "--dx", "0.05,0.02", "--trials", "20",
                     "--corpus-size", "8", "--out", str(bench_path)])
     assert code == cli.EXIT_OK
     lines = bench_path.read_text().splitlines()
@@ -274,3 +277,251 @@ def test_env_var_sets_log_level(monkeypatch, tmp_path, capsys):
                     "--out", str(tmp_path / "r.csv")])
     assert code == cli.EXIT_OK
     capsys.readouterr()
+
+
+# --- the settings each command hands to the library ------------------------
+
+class Captured(Exception):
+    """Raised by a stand-in for a library call; holds its bound arguments."""
+
+
+def _bound(fn, args, kwargs) -> dict:
+    bound = inspect.signature(fn).bind(*args, **kwargs)
+    bound.apply_defaults()
+    return dict(bound.arguments)
+
+
+def _stop_at(mp, owner, name):
+    """Replace ``owner.name`` by a stand-in that raises Captured with the
+    arguments of its call, defaults filled in."""
+    real = getattr(owner, name)
+
+    def stand_in(*args, **kwargs):
+        raise Captured(_bound(real, args, kwargs))
+
+    mp.setattr(owner, name, stand_in)
+
+
+def _prefixed(prefix, config) -> dict:
+    return {f"{prefix}.{k}": v for k, v in dataclasses.asdict(config).items()}
+
+
+def built(monkeypatch, tmp_path, argv) -> dict:
+    """The settings that ``argv`` hands to the library, as one flat dict:
+    the fields of the config it builds and the keywords of the call it makes,
+    each with its default filled in."""
+    command = argv[0]
+    corpus_args = {}
+    with monkeypatch.context() as mp:
+        if command == "simulate":
+            _stop_at(mp, cli, "run")
+        elif command == "gen-dataset":
+            _stop_at(mp, cli.ds, "generate_dataset")
+            argv = argv + ["--out", str(tmp_path / "d.bin")]
+        elif command == "train":
+            data = tmp_path / "d.bin"
+            save_dataset(PredictorDataset(
+                X=np.zeros((2, 1)), u=np.zeros((2, 3)), d_hat=np.ones(2),
+                targets=np.zeros((2, 3, 1))), data)
+            _stop_at(mp, cli.no, "train")
+            argv = argv + ["--dataset", str(data),
+                           "--out", str(tmp_path / "m.no")]
+        else:
+            make_corpus = cli.bench.make_corpus
+
+            def recording(*args, **kwargs):
+                corpus_args.update(_bound(make_corpus, args, kwargs))
+                return make_corpus(*args, **kwargs)
+
+            mp.setattr(cli.bench, "make_corpus", recording)
+            _stop_at(mp, cli.bench, "benchmark_predictors")
+        with pytest.raises(Captured) as info:
+            cli.main(argv)
+    got = info.value.args[0]
+    if command == "simulate":
+        return dataclasses.asdict(got["cfg"])
+    if command == "gen-dataset":
+        return {**_prefixed("base", got.pop("base_cfg")),
+                **_prefixed("ranges", got.pop("ranges")), **got}
+    if command == "train":
+        del got["dataset"]
+        return {**dataclasses.asdict(got.pop("cfg")), **got}
+    # make_corpus's arguments describe the corpus; a backend list, in a
+    # signature that takes one, follows from ``model``
+    for key in ("sys", "corpus", "backends"):
+        got.pop(key, None)
+    system = corpus_args.pop("sys")
+    return {"system": system.name, **corpus_args, **got}
+
+
+# the protein scenario; the other presets state where they differ from it
+SIMULATION = dict(
+    system="protein", x0=(0.03, 30.0), d_true=1.0, d_hat0=2.0, d_min=0.5,
+    d_max=2.5, gamma=1000.0, b=1.0, dt=1e-3, t_final=40.0,
+    predictor="numeric_fixed_point", law="measured", grid_points=201,
+    model_path=None, control_clip=None, solver_tol=1e-8, solver_max_iter=200,
+    linear_a=-0.5, linear_b=1.0)
+PRESETS = {
+    "protein": {},
+    "chemostat": dict(system="chemostat", x0=(2.0, 2.0), d_true=1.6,
+                      d_hat0=1.8, d_min=1.0, d_max=2.2, gamma=0.2,
+                      t_final=30.0, law="unmeasured"),
+    "linear": dict(system="linear", x0=(1.0,), d_hat0=1.5, d_min=0.2,
+                   d_max=2.0, gamma=10.0, t_final=10.0),
+}
+HARVEST_RUN = {"dt": 2e-3, "t_final": 16.0, "grid_points": 41}
+SAMPLE_RANGES = {
+    "protein": dict(x0_lo=(0.02, 15.0), x0_hi=(0.3, 32.0), d_true=(0.8, 1.4),
+                    d_hat0=(0.7, 2.3)),
+    "chemostat": dict(x0_lo=(1.6, 1.3), x0_hi=(3.6, 2.8), d_true=(1.3, 1.9),
+                      d_hat0=(1.3, 2.1)),
+    "linear": dict(x0_lo=(-2.0,), x0_hi=(2.0,), d_true=(0.5, 2.0),
+                   d_hat0=(0.5, 2.0)),
+}
+HARVEST_KEYWORDS = dict(n_samples=1000, seed=0, m=41, q=None, stride_s=0.1,
+                        target_tol=1e-9, jobs=1)
+TRAINING = dict(learning_rate=1e-3, batch_size=64, epochs=300,
+                early_stop_patience=40, validation_fraction=0.1, seed=0,
+                d_c=64, layers=2, boundary_weight=0.1)
+BENCHMARK = dict(system="protein", count=64, d_range=(0.5, 2.0), seed=0,
+                 dx_list=[0.01, 0.005, 0.001], n_trials=1000, model=None,
+                 warmup=50)
+
+
+def expected_defaults(command, system):
+    if command == "simulate":
+        return {**SIMULATION, **PRESETS[system]}
+    if command == "gen-dataset":
+        base = {k: v for k, v in {**SIMULATION, **PRESETS[system],
+                                  **HARVEST_RUN}.items()
+                if k not in PER_RUN_FIELDS}
+        return {**{f"base.{k}": v for k, v in base.items()},
+                **{f"ranges.{k}": v for k, v in SAMPLE_RANGES[system].items()},
+                **HARVEST_KEYWORDS}
+    return TRAINING if command == "train" else BENCHMARK
+
+
+@pytest.mark.parametrize("command, system", [
+    (command, system) for command in ("simulate", "gen-dataset")
+    for system in PRESETS] + [("train", None), ("benchmark", None)])
+def test_defaults_are_the_preset(command, system, monkeypatch, tmp_path):
+    argv = [command] + (["--system", system] if system else [])
+    got = built(monkeypatch, tmp_path, argv)
+    # a harvest draws these per source run, so its base config's are unused
+    for key in PER_RUN_FIELDS:
+        got.pop(f"base.{key}", None)
+    assert got == expected_defaults(command, system)
+
+
+FLAG_CASES = [
+    ("simulate", "--predictor", "none", "predictor", "none"),
+    ("simulate", "--law", "unmeasured", "law", "unmeasured"),
+    ("simulate", "--D", "1.2", "d_true", 1.2),
+    ("simulate", "--dhat0", "1.1", "d_hat0", 1.1),
+    ("simulate", "--dmin", "0.4", "d_min", 0.4),
+    ("simulate", "--dmax", "3", "d_max", 3.0),
+    ("simulate", "--gamma", "7", "gamma", 7.0),
+    ("simulate", "--b", "0.5", "b", 0.5),
+    ("simulate", "--x0", "0.1,20", "x0", (0.1, 20.0)),
+    ("simulate", "--tf", "5", "t_final", 5.0),
+    ("simulate", "--dt", "0.002", "dt", 0.002),
+    ("simulate", "--dx", "0.01", "grid_points", 101),
+    ("simulate", "--model", "m.no", "model_path", "m.no"),
+    ("simulate", "--clip", "0,5", "control_clip", (0.0, 5.0)),
+    ("simulate", "--linear-a", "2", "linear_a", 2.0),
+    ("simulate", "--linear-b", "3", "linear_b", 3.0),
+    ("gen-dataset", "--n", "50", "n_samples", 50),
+    ("gen-dataset", "--m", "21", "m", 21),
+    ("gen-dataset", "--q", "11", "q", 11),
+    ("gen-dataset", "--grid", "21", "base.grid_points", 21),
+    ("gen-dataset", "--stride", "0.2", "stride_s", 0.2),
+    ("gen-dataset", "--dt", "0.001", "base.dt", 0.001),
+    ("gen-dataset", "--tf", "8", "base.t_final", 8.0),
+    ("gen-dataset", "--law", "unmeasured", "base.law", "unmeasured"),
+    ("gen-dataset", "--gamma", "7", "base.gamma", 7.0),
+    ("gen-dataset", "--b", "0.5", "base.b", 0.5),
+    ("gen-dataset", "--dmin", "0.4", "base.d_min", 0.4),
+    ("gen-dataset", "--dmax", "3", "base.d_max", 3.0),
+    ("gen-dataset", "--x0-lo", "0.1,20", "ranges.x0_lo", (0.1, 20.0)),
+    ("gen-dataset", "--x0-hi", "0.2,25", "ranges.x0_hi", (0.2, 25.0)),
+    ("gen-dataset", "--d-range", "0.9,1.1", "ranges.d_true", (0.9, 1.1)),
+    ("gen-dataset", "--dhat0-range", "1,2", "ranges.d_hat0", (1.0, 2.0)),
+    ("gen-dataset", "--jobs", "2", "jobs", 2),
+    ("gen-dataset", "--seed", "3", "seed", 3),
+    ("train", "--dc", "8", "d_c", 8),
+    ("train", "--layers", "1", "layers", 1),
+    ("train", "--epochs", "5", "epochs", 5),
+    ("train", "--patience", "5", "early_stop_patience", 5),
+    ("train", "--lr", "0.01", "learning_rate", 0.01),
+    ("train", "--batch", "16", "batch_size", 16),
+    ("train", "--val-fraction", "0.2", "validation_fraction", 0.2),
+    ("train", "--seed", "3", "seed", 3),
+    ("benchmark", "--system", "linear", "system", "linear"),
+    ("benchmark", "--dx", "0.02,0.01", "dx_list", [0.02, 0.01]),
+    ("benchmark", "--trials", "10", "n_trials", 10),
+    ("benchmark", "--corpus-size", "8", "count", 8),
+    ("benchmark", "--d-range", "1,1.5", "d_range", (1.0, 1.5)),
+    ("benchmark", "--seed", "3", "seed", 3),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, key, expected", FLAG_CASES,
+                         ids=[f"{case[0]} {case[1]}" for case in FLAG_CASES])
+def test_each_flag_sets_only_its_own_setting(command, flag, value, key,
+                                             expected, monkeypatch, tmp_path):
+    default = built(monkeypatch, tmp_path, [command])
+    given = built(monkeypatch, tmp_path, [command, flag, value])
+    assert given.keys() == default.keys()
+    assert {k: v for k, v in given.items() if v != default[k]} == \
+        {key: expected}
+
+
+GEN_LINEAR = ["gen-dataset", "--system", "linear", "--n", "5", "--tf", "0.5",
+              "--grid", "11", "--m", "11"]
+BENCH_LINEAR = ["benchmark", "--system", "linear", "--dx", "0.1",
+                "--trials", "1", "--corpus-size", "1"]
+SIM_LINEAR = ["simulate", "--system", "linear", "--tf", "0.01"]
+
+
+RANGE_CASES = [
+    (SIM_LINEAR, "--clip", "1"),
+    (SIM_LINEAR, "--clip", "2,1"),
+    (SIM_LINEAR, "--clip", "0,inf"),
+    (BENCH_LINEAR, "--d-range", "1"),
+    (BENCH_LINEAR, "--d-range", "2,1"),
+    (GEN_LINEAR, "--d-range", "1,2,3"),
+    (GEN_LINEAR, "--d-range", "0.8"),
+    (GEN_LINEAR, "--d-range", "2,1"),
+    (GEN_LINEAR, "--dhat0-range", "nan,1"),
+    (GEN_LINEAR, "--dhat0-range", "a,b"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value", RANGE_CASES, ids=[
+    f"{command[0]} {flag} {value}" for command, flag, value in RANGE_CASES])
+def test_range_flag_takes_two_ordered_finite_numbers(command, flag, value,
+                                                     tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command + [flag, value, "--out", str(out)]) == \
+        cli.EXIT_USAGE
+    assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--predictor", "neural", "--tf", "0.01"],
+    ["benchmark", "--dx", "0.1", "--trials", "1", "--corpus-size", "1"],
+], ids=["simulate", "benchmark"])
+@pytest.mark.parametrize("system, n, plant_n", [("linear", 2, 1),
+                                                ("protein", 1, 2)])
+def test_operator_must_match_the_plant(command, system, n, plant_n, tmp_path,
+                                       capsys):
+    model = tmp_path / "m.no"
+    save_model(init_model(n, 11, 4, 1), model)
+    out = tmp_path / "out"
+    assert run_cli(command + ["--system", system, "--model", str(model),
+                              "--out", str(out)]) == cli.EXIT_USAGE
+    assert (f"operator state dimension {n} does not match the state "
+            f"dimension {plant_n} of the {system} plant"
+            in capsys.readouterr().err)
+    assert not out.exists()
