@@ -11,29 +11,25 @@ from .predictor import PredictorGrid, PredictorProfile
 from .systems import SystemModel
 
 SIGN_DEADZONE = 1e-9  # avoids chattering on floating-point noise around zero
-LAW_CHOICES = ("measured", "unmeasured", "frozen")
 
 
 @dataclass
 class AdaptationState:
-    """Current delay estimate with its bounds and gains."""
+    """Current delay estimate with its bounds and its gain."""
 
     d_hat: float
     d_min: float
     d_max: float
     gamma: float
-    b: float
-    law: str = "measured"  # measured | unmeasured | frozen
 
     def __post_init__(self):
         if not 0.0 < self.d_min <= self.d_max:
             raise ValueError("need 0 < d_min <= d_max")
         if not self.d_min <= self.d_hat <= self.d_max:
             raise ValueError("d_hat must start inside [d_min, d_max]")
-        if self.gamma < 0.0 or self.b <= 0.0:
-            raise ValueError("gamma must be >= 0 and b > 0")
-        if self.law not in LAW_CHOICES:
-            raise ValueError(f"unknown adaptation law {self.law!r}")
+        # a step multiplies gamma by phi, and inf * 0 is NaN
+        if not 0.0 <= self.gamma < np.inf:
+            raise ValueError(f"gamma={self.gamma!r} must be finite and >= 0")
 
 
 def project(d_hat: float, d_min: float, d_max: float, phi: float) -> float:
@@ -45,10 +41,10 @@ def project(d_hat: float, d_min: float, d_max: float, phi: float) -> float:
     return phi
 
 
-def deadzone_sign(z, threshold: float = SIGN_DEADZONE):
-    """sgn with a dead zone: 0 inside [-threshold, threshold]."""
+def deadzone_sign(z):
+    """sgn with a dead zone: 0 inside [-SIGN_DEADZONE, SIGN_DEADZONE]."""
     z = np.asarray(z, dtype=float)
-    out = np.where(z > threshold, 1.0, np.where(z < -threshold, -1.0, 0.0))
+    out = np.where(np.abs(z) > SIGN_DEADZONE, np.sign(z), 0.0)
     return float(out) if out.ndim == 0 else out
 
 
@@ -122,12 +118,11 @@ def phi_unmeasured_bound(sys: SystemModel, p_hat: PredictorProfile,
 
 def step_delay_estimate(st: AdaptationState, phi: float,
                         dt: float) -> AdaptationState:
-    """Explicit Euler step of the projected update, with a safety clamp."""
+    """Explicit Euler step of the projected update, with a safety clamp;
+    phi = 0 keeps d_hat, which is how ``run`` holds it under the frozen law."""
     if dt <= 0.0:
         raise ValueError("dt must be positive")
-    if st.law == "frozen":
-        return st
     update = st.gamma * project(st.d_hat, st.d_min, st.d_max, phi)
     d_new = float(np.clip(st.d_hat + dt * update, st.d_min, st.d_max))
     return AdaptationState(d_hat=d_new, d_min=st.d_min, d_max=st.d_max,
-                           gamma=st.gamma, b=st.b, law=st.law)
+                           gamma=st.gamma)

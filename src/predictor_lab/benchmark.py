@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import hashlib
-import itertools
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -46,9 +45,8 @@ class BenchReport:
         raise KeyError((backend, dx))
 
     def write_csv(self, path) -> None:
-        backends = sorted({c.backend for c in self.cells},
-                          key=lambda b: (b != "numeric", b))
-        dxs = sorted({c.dx for c in self.cells}, reverse=True)
+        """One row per dx, coarse first; every dx has a cell per backend."""
+        backends = list(dict.fromkeys(c.backend for c in self.cells))
         cols = ["dx"]
         for b in backends:
             cols += [f"{b}_mean_s", f"{b}_std_s"]
@@ -56,20 +54,14 @@ class BenchReport:
                 cols.append(f"{b}_speedup")
         with open(path, "w") as fh:
             fh.write(",".join(cols) + "\n")
-            for dx in dxs:
+            for dx in sorted({c.dx for c in self.cells}, reverse=True):
                 row = [f"{dx:g}"]
                 for b in backends:
-                    try:
-                        c = self.cell(b, dx)
-                        if c.failed:
-                            row += ["failed", "failed"]
-                            row += ["failed"] if b != "numeric" else []
-                            continue
-                        row += [repr(c.mean_s), repr(c.std_s)]
-                        if b != "numeric":
-                            row.append(f"{c.speedup:.2f}")
-                    except KeyError:
-                        row += [""] * (3 if b != "numeric" else 2)
+                    c = self.cell(b, dx)
+                    values = [repr(c.mean_s), repr(c.std_s)]
+                    if b != "numeric":
+                        values.append(f"{c.speedup:.2f}")
+                    row += ["failed"] * len(values) if c.failed else values
                 fh.write(",".join(row) + "\n")
 
 
@@ -112,12 +104,12 @@ class _CallFailed(Exception):
         self.cause = cause
 
 
-def _timed(fn, count: int, n_trials: int, warmup: int):
-    """Mean and std of n_trials timed calls fn(j) after warmup untimed ones,
-    j cycling through the corpus indices 0..count-1.  A failing call raises
-    _CallFailed with its index."""
-    times = np.empty(warmup + n_trials)
-    for i, k in enumerate(itertools.chain(range(warmup), range(n_trials))):
+def _timed(fn, count: int, n_trials: int):
+    """Mean and std of n_trials timed calls fn(j) after WARMUP_SOLVES untimed
+    ones, j cycling through the corpus indices 0..count-1.  A failing call
+    raises _CallFailed with its index."""
+    times = np.empty(WARMUP_SOLVES + n_trials)
+    for i, k in enumerate([*range(WARMUP_SOLVES), *range(n_trials)]):
         j = k % count
         try:
             tic = time.perf_counter()
@@ -125,13 +117,13 @@ def _timed(fn, count: int, n_trials: int, warmup: int):
             times[i] = time.perf_counter() - tic
         except Exception as exc:
             raise _CallFailed(j, exc) from exc
-    timed = times[warmup:]
+    timed = times[WARMUP_SOLVES:]
     return float(timed.mean()), float(timed.std())
 
 
 def benchmark_predictors(sys: SystemModel, dx_list: list, n_trials: int,
-                         corpus: dict, model: NeuralOperatorModel = None,
-                         warmup: int = WARMUP_SOLVES) -> BenchReport:
+                         corpus: dict,
+                         model: NeuralOperatorModel = None) -> BenchReport:
     """Mean solve wall-time per (dx, backend) cell over a shared corpus.
 
     The numeric backend always runs, as the speedup baseline; the neural
@@ -165,7 +157,7 @@ def benchmark_predictors(sys: SystemModel, dx_list: list, n_trials: int,
         numeric_mean = None
         for backend, fn in backends.items():
             try:
-                mean_s, std_s = _timed(fn, count, n_trials, warmup)
+                mean_s, std_s = _timed(fn, count, n_trials)
             except _CallFailed as failure:
                 cause = failure.cause
                 report.cells.append(BenchCell(

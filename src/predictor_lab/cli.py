@@ -167,11 +167,10 @@ def cmd_train(args) -> int:
 def cmd_benchmark(args) -> int:
     sys_model = make_system(args.system)
     model = no.load_model(args.model) if args.model else None
-    dx_list = [float(v) for v in args.dx.split(",")]
     corpus = bench.make_corpus(sys_model, args.corpus_size, args.d_range,
                                **_given(args, ("seed",)))
-    report = bench.benchmark_predictors(sys_model, dx_list, args.trials,
-                                        corpus, model=model)
+    report = bench.benchmark_predictors(sys_model, list(args.dx),
+                                        args.trials, corpus, model=model)
     if args.out:
         report.write_csv(args.out)
     for cell in report.cells:
@@ -272,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
                         allow_abbrev=False)
     bm.add_argument("--system", default="protein")
     bm.add_argument("--model", help="trained model; adds the neural backend")
-    bm.add_argument("--dx", default="0.01,0.005,0.001")
+    bm.add_argument("--dx", type=_floats, default="0.01,0.005,0.001")
     bm.add_argument("--trials", type=int, default=1000)
     bm.add_argument("--corpus-size", type=int, default=64)
     bm.add_argument("--d-range", type=_pair, default=(0.5, 2.0))

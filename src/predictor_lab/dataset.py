@@ -40,6 +40,14 @@ class SampleRanges:
         if len(self.x0_lo) != len(self.x0_hi):
             raise ValueError(f"x0_lo={self.x0_lo!r} and x0_hi={self.x0_hi!r} "
                              "differ in length")
+        if not all(-np.inf < lo <= hi < np.inf
+                   for lo, hi in zip(self.x0_lo, self.x0_hi)):
+            raise ValueError(f"x0_lo={self.x0_lo!r} and x0_hi={self.x0_hi!r} "
+                             "need finite lo <= hi")
+        for name in ("d_true", "d_hat0"):
+            lo, hi = getattr(self, name)
+            if not -np.inf < lo <= hi < np.inf:
+                raise ValueError(f"{name}={(lo, hi)!r} needs finite lo <= hi")
 
 
 @dataclass

@@ -19,6 +19,7 @@ import numpy as np
 FORMAT_VERSION = 1
 X_NODE_COORD = -1.0
 DELAY_NODE_COORD = -2.0
+EVAL_BATCH = 256  # samples per forward when scoring a sample set
 
 
 class ModelFormatError(ValueError):
@@ -333,14 +334,14 @@ def _normalization(X, u, d_hat, targets):
     return (mu, sd), (out_mu, out_sd)
 
 
-def sup_error(model: NeuralOperatorModel, X, u, d_hat, targets, queries,
-              batch: int = 256) -> float:
+def sup_error(model: NeuralOperatorModel, X, u, d_hat, targets,
+              queries) -> float:
     """Largest absolute prediction error over a sample set (raw units)."""
     worst = 0.0
-    for i in range(0, len(X), batch):
-        pred = forward(model, X[i:i + batch], u[i:i + batch],
-                       d_hat[i:i + batch], queries)
-        worst = max(worst, float(np.abs(pred - targets[i:i + batch]).max()))
+    for i in range(0, len(X), EVAL_BATCH):
+        sel = slice(i, i + EVAL_BATCH)
+        pred = forward(model, X[sel], u[sel], d_hat[sel], queries)
+        worst = max(worst, float(np.abs(pred - targets[sel]).max()))
     return worst
 
 

@@ -10,9 +10,8 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptation import (LAW_CHOICES, AdaptationState,
-                         estimated_input_profile, phi_measured,
-                         phi_unmeasured, step_delay_estimate)
+from .adaptation import (AdaptationState, estimated_input_profile,
+                         phi_measured, phi_unmeasured, step_delay_estimate)
 from .history import (InputHistory, delayed_input_sampler,
                       distributed_input_xderiv, run_window_functionals,
                       window_functionals)
@@ -26,6 +25,7 @@ log = logging.getLogger("predictor_lab")
 # "none" applies zero input; "uncompensated" applies kappa(X) through the
 # delay, with no prediction
 PREDICTOR_CHOICES = ("numeric_fixed_point", "neural", "none", "uncompensated")
+LAW_CHOICES = ("measured", "unmeasured", "frozen")
 MAX_CONSECUTIVE_SOLVER_FAILURES = 10
 DIVERGENCE_NORM = 1e12
 
@@ -78,6 +78,8 @@ class SimulationConfig:
             raise ValueError(f"unknown predictor {self.predictor!r}")
         if self.law not in LAW_CHOICES:
             raise ValueError(f"unknown adaptation law {self.law!r}")
+        if self.b <= 0.0:
+            raise ValueError(f"b={self.b!r} must be positive")
         if self.predictor == "neural" and self.model_path is None:
             raise ValueError("neural predictor requires model_path")
         if not self.d_min <= self.d_true <= self.d_max:
@@ -179,7 +181,7 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
     hist = InputHistory(dt, window, t0=-dt)
     grid = PredictorGrid(cfg.grid_points)
     st = AdaptationState(d_hat=cfg.d_hat0, d_min=cfg.d_min, d_max=cfg.d_max,
-                         gamma=cfg.gamma, b=cfg.b, law=cfg.law)
+                         gamma=cfg.gamma)
 
     warm = None
     failures = 0

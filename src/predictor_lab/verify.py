@@ -17,6 +17,11 @@ from .predictor import (PredictorGrid, lipschitz_constant, solve_fixed_point,
 from .simulation import SimulationConfig, run
 from .systems import make_system
 
+PROFILE_MODES = 3      # Fourier modes of a random control profile
+SIMPSON_REFINE = 10    # the closed form's quadrature grid is this much finer
+LIPSCHITZ_PAIRS = 200
+SOLVER_TRIALS = 50     # inputs per plant in solver-agreement and oracle
+
 
 @dataclass
 class SuiteResult:
@@ -25,16 +30,15 @@ class SuiteResult:
     detail: str
 
 
-def random_profile(rng, bound: float, modes: int = 3, center: float = 0.0,
-                   clip: tuple = None):
+def random_profile(rng, bound: float, center: float = 0.0, clip: tuple = None):
     """Smooth random control profile on [0, 1] as a short Fourier series."""
-    coeffs = rng.uniform(-1.0, 1.0, size=(modes, 2))
+    coeffs = rng.uniform(-1.0, 1.0, size=(PROFILE_MODES, 2))
     offset = rng.uniform(-0.5, 0.5)
 
     def u(x):
         x = np.asarray(x, dtype=float)
         total = np.full_like(x, offset, dtype=float)
-        for k in range(1, modes + 1):
+        for k in range(1, PROFILE_MODES + 1):
             total = total + (coeffs[k - 1, 0] * np.sin(2 * np.pi * k * x)
                              + coeffs[k - 1, 1] * np.cos(2 * np.pi * k * x)) / (2 * k)
         out = center + bound * total
@@ -53,26 +57,26 @@ def system_profile(sys, rng, scale: float = 0.5):
 
 
 def linear_closed_form(a: float, b_in: float, X0: float, u, delay: float,
-                       grid: PredictorGrid, refine: int = 10) -> np.ndarray:
+                       grid: PredictorGrid) -> np.ndarray:
     """p(x) = e^{a d x} X + b d int_0^x e^{a d (x-y)} u(y) dy on the grid.
 
     The convolution integral is evaluated by Simpson quadrature on a
-    ``refine``-times finer grid, independent of either numeric solver.
+    ``SIMPSON_REFINE``-times finer grid, independent of either numeric solver.
     """
     from scipy.integrate import cumulative_simpson
 
-    n_fine = refine * (grid.n_points - 1) + 1
+    n_fine = SIMPSON_REFINE * (grid.n_points - 1) + 1
     xf = np.linspace(0.0, 1.0, n_fine)
     g = np.exp(-a * delay * xf) * np.asarray(u(xf), dtype=float)
     cum = cumulative_simpson(g, x=xf, initial=0.0)
     p_fine = np.exp(a * delay * xf) * (X0 + b_in * delay * cum)
-    return p_fine[::refine]
+    return p_fine[::SIMPSON_REFINE]
 
 
 def suite_projection(seed: int = 0) -> SuiteResult:
     """1e5 random update steps never push the estimate out of bounds."""
     rng = np.random.default_rng(seed)
-    st = AdaptationState(d_hat=1.0, d_min=0.5, d_max=2.5, gamma=50.0, b=1.0)
+    st = AdaptationState(d_hat=1.0, d_min=0.5, d_max=2.5, gamma=50.0)
     worst = 0.0
     for _ in range(100_000):
         phi = rng.standard_cauchy()  # heavy tails stress the clamp
@@ -117,7 +121,7 @@ def suite_transport(seed: int = 0) -> SuiteResult:
                        f"shift identity err {shift_err:.1e}")
 
 
-def suite_lipschitz(seed: int = 0, pairs: int = 200) -> SuiteResult:
+def suite_lipschitz(seed: int = 0) -> SuiteResult:
     """Empirical predictor increments never exceed the operator bound."""
     sys = make_system("protein")
     d_min, d_max = 0.5, 2.5
@@ -125,7 +129,7 @@ def suite_lipschitz(seed: int = 0, pairs: int = 200) -> SuiteResult:
     grid = PredictorGrid(101)
     rng = np.random.default_rng(seed)
     worst_ratio = 0.0
-    for _ in range(pairs):
+    for _ in range(LIPSCHITZ_PAIRS):
         X1 = sys.sample_states(1, rng)[0]
         X2 = sys.sample_states(1, rng)[0]
         u1 = system_profile(sys, rng, scale=0.8)
@@ -146,7 +150,7 @@ def suite_lipschitz(seed: int = 0, pairs: int = 200) -> SuiteResult:
                        f"vs bound {c_bound:.3g}")
 
 
-def suite_solver_agreement(seed: int = 0, trials: int = 50) -> SuiteResult:
+def suite_solver_agreement(seed: int = 0) -> SuiteResult:
     """Picard and 4th-order march agree to within 10 dx^2 on all systems."""
     rng = np.random.default_rng(seed)
     grid = PredictorGrid(101)
@@ -154,7 +158,7 @@ def suite_solver_agreement(seed: int = 0, trials: int = 50) -> SuiteResult:
     worst = 0.0
     for name in ("protein", "chemostat", "linear"):
         sys = make_system(name)
-        for _ in range(trials):
+        for _ in range(SOLVER_TRIALS):
             X = sys.sample_states(1, rng)[0]
             u = system_profile(sys, rng)
             delay = rng.uniform(0.5, 2.0)
@@ -165,14 +169,14 @@ def suite_solver_agreement(seed: int = 0, trials: int = 50) -> SuiteResult:
                        f"max disagreement {worst:.2e} (tol {tol:.2e})")
 
 
-def suite_oracle(seed: int = 0, trials: int = 50) -> SuiteResult:
+def suite_oracle(seed: int = 0) -> SuiteResult:
     """Both numeric solvers reproduce the linear closed form to 1e-4."""
     a, b_in = 0.7, 1.3
     sys = make_system("linear", a=a, b_in=b_in)
     grid = PredictorGrid(1001)
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(SOLVER_TRIALS):
         X0 = rng.uniform(-2.0, 2.0)
         u = random_profile(rng, 2.0)
         delay = rng.uniform(0.5, 2.0)
@@ -198,11 +202,8 @@ def suite_w_consistency(seed: int = 0) -> SuiteResult:
         w1 = hist.sample(t) - float(sys.controller(profile.values[-1]))
         worst = max(worst, abs(w1))
 
-    cfg = SimulationConfig(system="protein", x0=(0.03, 30.0), d_true=1.0,
-                           d_hat0=1.5, gamma=100.0, b=1.0, dt=1e-3,
-                           t_final=4.0, predictor="numeric_fixed_point",
-                           law="measured", grid_points=101,
-                           solver_tol=1e-10)
+    cfg = SimulationConfig(d_hat0=1.5, gamma=100.0, t_final=4.0,
+                           grid_points=101, solver_tol=1e-10)
     run(cfg, system=sys, on_step=on_step)
     return SuiteResult("w-consistency", worst < 1e-6,
                        f"max |w(1,t)| = {worst:.2e}")

@@ -161,8 +161,7 @@ def test_deadzone_sign():
 
 def test_step_delay_estimate_euler_arithmetic():
     # d + dt * gamma * phi = 1 + 1e-3 * 1000 * 1e-4 = 1.0001
-    st_ = pl.AdaptationState(d_hat=1.0, d_min=0.5, d_max=2.5, gamma=1000.0,
-                             b=1.0)
+    st_ = pl.AdaptationState(d_hat=1.0, d_min=0.5, d_max=2.5, gamma=1000.0)
     out = pl.step_delay_estimate(st_, 1e-4, 1e-3)
     assert out.d_hat == pytest.approx(1.0001, abs=1e-12)
     # larger phi saturates at the clamp
@@ -171,23 +170,13 @@ def test_step_delay_estimate_euler_arithmetic():
 
 
 def test_step_delay_estimate_zero_phi():
-    st_ = pl.AdaptationState(d_hat=1.2, d_min=0.5, d_max=2.5, gamma=10.0,
-                             b=1.0)
+    st_ = pl.AdaptationState(d_hat=1.2, d_min=0.5, d_max=2.5, gamma=10.0)
     assert pl.step_delay_estimate(st_, 0.0, 1e-2).d_hat == 1.2
 
 
 def test_step_delay_estimate_projection_at_bound():
-    st_ = pl.AdaptationState(d_hat=2.5, d_min=0.5, d_max=2.5, gamma=10.0,
-                             b=1.0)
+    st_ = pl.AdaptationState(d_hat=2.5, d_min=0.5, d_max=2.5, gamma=10.0)
     assert pl.step_delay_estimate(st_, 5.0, 1e-2).d_hat == 2.5
-
-
-def test_frozen_law_never_moves():
-    st_ = pl.AdaptationState(d_hat=1.7, d_min=0.5, d_max=2.5, gamma=100.0,
-                             b=1.0, law="frozen")
-    for phi in (1.0, -3.0, 100.0):
-        st_ = pl.step_delay_estimate(st_, phi, 0.1)
-    assert st_.d_hat == 1.7
 
 
 @given(st.integers(0, 2 ** 31 - 1))
@@ -195,8 +184,7 @@ def test_frozen_law_never_moves():
 def test_estimate_stays_in_bounds_under_fuzz(seed):
     rng = np.random.default_rng(seed)
     st_ = pl.AdaptationState(d_hat=float(rng.uniform(0.6, 2.4)), d_min=0.6,
-                             d_max=2.4, gamma=float(rng.uniform(0.1, 500.0)),
-                             b=1.0)
+                             d_max=2.4, gamma=float(rng.uniform(0.1, 500.0)))
     for _ in range(500):
         st_ = pl.step_delay_estimate(st_, float(rng.standard_cauchy()), 1e-2)
         assert 0.6 <= st_.d_hat <= 2.4
@@ -204,11 +192,10 @@ def test_estimate_stays_in_bounds_under_fuzz(seed):
 
 def test_adaptation_state_validation():
     with pytest.raises(ValueError):
-        pl.AdaptationState(d_hat=0.1, d_min=0.5, d_max=2.5, gamma=1.0, b=1.0)
+        pl.AdaptationState(d_hat=0.1, d_min=0.5, d_max=2.5, gamma=1.0)
     with pytest.raises(ValueError):
-        pl.AdaptationState(d_hat=1.0, d_min=-0.5, d_max=2.5, gamma=1.0, b=1.0)
-    with pytest.raises(ValueError):
-        pl.AdaptationState(d_hat=1.0, d_min=0.5, d_max=2.5, gamma=1.0, b=0.0)
-    with pytest.raises(ValueError):
-        pl.AdaptationState(d_hat=1.0, d_min=0.5, d_max=2.5, gamma=1.0, b=1.0,
-                           law="sliding")
+        pl.AdaptationState(d_hat=1.0, d_min=-0.5, d_max=2.5, gamma=1.0)
+    with pytest.raises(ValueError, match="gamma"):
+        pl.AdaptationState(d_hat=1.0, d_min=0.5, d_max=2.5, gamma=-1.0)
+    with pytest.raises(ValueError, match="gamma"):
+        pl.AdaptationState(d_hat=1.0, d_min=0.5, d_max=2.5, gamma=np.inf)

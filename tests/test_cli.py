@@ -144,6 +144,12 @@ def test_config_key_must_be_a_flag_with_a_valid_value(command, line, named,
      "does not match the state dimension 1 of the linear plant"),
     (["gen-dataset", "--system", "protein", "--x0-lo", "0.1"],
      "x0_lo=(0.1,) and x0_hi=(0.3, 32.0) differ in length"),
+    (["gen-dataset", "--system", "linear", "--x0-lo", "2", "--x0-hi", "-2",
+      "--n", "5", "--tf", "0.5", "--grid", "11", "--m", "11"],
+     "x0_lo=(2.0,) and x0_hi=(-2.0,) need finite lo <= hi"),
+    (["gen-dataset", "--system", "linear", "--x0-lo", "nan",
+      "--n", "5", "--tf", "0.5", "--grid", "11", "--m", "11"],
+     "x0_lo=(nan,) and x0_hi=(2.0,) need finite lo <= hi"),
 ])
 def test_state_of_wrong_length_is_a_usage_error(command, named, tmp_path,
                                                 capsys):
@@ -384,8 +390,7 @@ TRAINING = dict(learning_rate=1e-3, batch_size=64, epochs=300,
                 early_stop_patience=40, validation_fraction=0.1, seed=0,
                 d_c=64, layers=2, boundary_weight=0.1)
 BENCHMARK = dict(system="protein", count=64, d_range=(0.5, 2.0), seed=0,
-                 dx_list=[0.01, 0.005, 0.001], n_trials=1000, model=None,
-                 warmup=50)
+                 dx_list=[0.01, 0.005, 0.001], n_trials=1000, model=None)
 
 
 def expected_defaults(command, system):
@@ -494,6 +499,7 @@ RANGE_CASES = [
     (GEN_LINEAR, "--d-range", "2,1"),
     (GEN_LINEAR, "--dhat0-range", "nan,1"),
     (GEN_LINEAR, "--dhat0-range", "a,b"),
+    (BENCH_LINEAR, "--dx", "0.1,abc"),
 ]
 
 

@@ -179,7 +179,7 @@ def test_corpus_is_physical_and_hashable(chemostat):
 
 def test_benchmark_self_speedup_near_unity(linear):
     corpus = bench.make_corpus(linear, 8, d_range=(0.5, 1.5), seed=2)
-    report = bench.benchmark_predictors(linear, [0.02], 40, corpus, warmup=5)
+    report = bench.benchmark_predictors(linear, [0.02], 40, corpus)
     cell = report.cell("numeric", 0.02)
     assert cell.speedup == pytest.approx(1.0)
     assert cell.mean_s > 0.0
@@ -194,8 +194,7 @@ def test_benchmark_failed_backend_marks_cell(linear, monkeypatch):
 
     monkeypatch.setattr(bench, "forward", broken)
     report = bench.benchmark_predictors(linear, [0.02], 10, corpus,
-                                        model=pl.init_model(1, 11, 4, 1),
-                                        warmup=2)
+                                        model=pl.init_model(1, 11, 4, 1))
     cell = report.cell("neural", 0.02)
     assert cell.failed
     assert cell.error == "RuntimeError: boom"
@@ -208,8 +207,7 @@ def test_benchmark_failed_backend_marks_cell(linear, monkeypatch):
 def test_benchmark_csv_layout(tmp_path, linear):
     corpus = bench.make_corpus(linear, 4, d_range=(0.5, 1.5), seed=2)
     report = bench.benchmark_predictors(linear, [0.02, 0.01], 10, corpus,
-                                        model=pl.init_model(1, 11, 4, 1),
-                                        warmup=2)
+                                        model=pl.init_model(1, 11, 4, 1))
     path = tmp_path / "bench.csv"
     report.write_csv(path)
     lines = path.read_text().splitlines()

@@ -33,6 +33,8 @@ def test_config_validation():
         pl.SimulationConfig(predictor="magic").validate()
     with pytest.raises(ValueError, match="law"):
         pl.SimulationConfig(law="magic").validate()
+    with pytest.raises(ValueError, match="b=0"):
+        pl.SimulationConfig(b=0.0).validate()
     with pytest.raises(ValueError, match="model_path"):
         pl.SimulationConfig(predictor="neural").validate()
 
