@@ -68,22 +68,6 @@ def estimated_input_profile(h: InputHistory, d_hat: float,
     return np.asarray(distributed_input(h, d_hat, grid.points), dtype=float)
 
 
-def _q3_q4(sys: SystemModel, p: np.ndarray, u_hat: np.ndarray,
-           d_hat: float):
-    """Terms of the unmeasured law along the predictor curve p.
-
-    Returns p_x = d_hat f(p, u_hat), dkappa(p), q3 = dkappa(p) . f(p(0),
-    u_hat(0)) and q4 = dq3/dx.
-    """
-    p_x = d_hat * sys.dynamics(p, u_hat)                       # (N, n)
-    grads = sys.controller_grad(p)                             # (N, n)
-    f0 = sys.dynamics(p[0], float(u_hat[0]))                   # (n,)
-    q3 = grads @ f0
-    hess = sys.hessian_or_fd(p)                                # (N, n, n)
-    q4 = np.einsum("ij,ijk,k->i", p_x, hess, f0)
-    return p_x, grads, q3, q4
-
-
 def phi_unmeasured(sys: SystemModel, p_hat: PredictorProfile,
                    u_hat: np.ndarray, u_hat_x: np.ndarray,
                    d_hat: float, grid: PredictorGrid) -> float:
@@ -96,7 +80,12 @@ def phi_unmeasured(sys: SystemModel, p_hat: PredictorProfile,
     xs = grid.points
     p = p_hat.values
     w_hat = u_hat - sys.controller(p)
-    p_x, grads, q3, q4 = _q3_q4(sys, p, u_hat, d_hat)
+    p_x = d_hat * sys.dynamics(p, u_hat)                       # (N, n)
+    grads = sys.controller_grad(p)                             # (N, n)
+    f0 = sys.dynamics(p[0], float(u_hat[0]))                   # (n,)
+    q3 = grads @ f0
+    hess = sys.hessian_or_fd(p)                                # (N, n, n)
+    q4 = np.einsum("ij,ijk,k->i", p_x, hess, f0)
     w_hat_x = u_hat_x - np.einsum("ij,ij->i", grads, p_x)
 
     sw = deadzone_sign(w_hat)
@@ -104,16 +93,6 @@ def phi_unmeasured(sys: SystemModel, p_hat: PredictorProfile,
     weight = 1.0 + xs
     integral = np.trapezoid(weight * (q3 * sw + q4 * swx), xs)
     return float(2.0 * swx[-1] * q3[-1] + integral)
-
-
-def phi_unmeasured_bound(sys: SystemModel, p_hat: PredictorProfile,
-                         u_hat: np.ndarray, d_hat: float,
-                         grid: PredictorGrid) -> float:
-    """Computable per-step bound 2|q3(1)| + int (1+x)(|q3|+|q4|) dx."""
-    xs = grid.points
-    _, _, q3, q4 = _q3_q4(sys, p_hat.values, u_hat, d_hat)
-    return float(2.0 * abs(q3[-1])
-                 + np.trapezoid((1.0 + xs) * (np.abs(q3) + np.abs(q4)), xs))
 
 
 def step_delay_estimate(st: AdaptationState, phi: float,

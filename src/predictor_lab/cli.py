@@ -87,6 +87,14 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
+def _distinct_floats(text: str) -> tuple:
+    """Comma-separated numbers, none of them repeated."""
+    values = _floats(text)
+    if len(set(values)) != len(values):
+        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
+    return values
+
+
 def _pair(text: str) -> tuple:
     """``lo,hi``: exactly two finite numbers with lo <= hi."""
     pair = _floats(text)
@@ -271,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
                         allow_abbrev=False)
     bm.add_argument("--system", default="protein")
     bm.add_argument("--model", help="trained model; adds the neural backend")
-    bm.add_argument("--dx", type=_floats, default="0.01,0.005,0.001")
+    bm.add_argument("--dx", type=_distinct_floats, default="0.01,0.005,0.001")
     bm.add_argument("--trials", type=int, default=1000)
     bm.add_argument("--corpus-size", type=int, default=64)
     bm.add_argument("--d-range", type=_pair, default=(0.5, 2.0))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -187,6 +186,8 @@ def generate_dataset(base_cfg: SimulationConfig, n_samples: int,
             args.append((base_cfg, x0, d_true, d_hat0, m, q, stride_steps,
                          target_tol))
         if jobs > 1:
+            # lazy, so that a package import never loads multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
             with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_source_run, args))
         else:

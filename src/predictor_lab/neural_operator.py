@@ -20,6 +20,8 @@ FORMAT_VERSION = 1
 X_NODE_COORD = -1.0
 DELAY_NODE_COORD = -2.0
 EVAL_BATCH = 256  # samples per forward when scoring a sample set
+BOUNDARY_WEIGHT = 0.1  # weight of the s = 0 penalty in the training loss
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class ModelFormatError(ValueError):
@@ -260,7 +262,7 @@ def check_state_dim(model: NeuralOperatorModel, sys) -> None:
 
 
 def training_loss_and_grads(model: NeuralOperatorModel, X, u, d_hat,
-                            targets_norm, queries, boundary_weight=0.1):
+                            targets_norm, queries):
     """Normalized MSE plus the s=0 boundary-consistency penalty, with grads.
 
     ``queries[0]`` must be 0 so the boundary output is part of the pass.
@@ -269,43 +271,42 @@ def training_loss_and_grads(model: NeuralOperatorModel, X, u, d_hat,
         raise ValueError("training queries must start at s = 0")
     F = build_features(model, X, u, d_hat)
     Y, cache = _forward_cached(model, F, queries)
-    loss, resid, bresid = _loss(model, Y, X, targets_norm, boundary_weight)
+    loss, resid, bresid = _loss(model, Y, X, targets_norm)
     dY = 2.0 * resid / resid.size
-    dY[:, 0, :] += boundary_weight * 2.0 * bresid / bresid.size
+    dY[:, 0, :] += BOUNDARY_WEIGHT * 2.0 * bresid / bresid.size
 
     grads = _backward(model, dY, cache)
     return loss, grads
 
 
-def _loss(model: NeuralOperatorModel, Y, X, targets_norm, boundary_weight):
+def _loss(model: NeuralOperatorModel, Y, X, targets_norm):
     """Training loss of normalized outputs Y, with the residuals of its two
     terms: (loss, Y - targets, Y[:, 0] - normalized X)."""
     resid = Y - targets_norm
     loss = float(np.mean(resid * resid))
     bresid = Y[:, 0, :] - (X - model.norm_out_mu) / model.norm_out_sd
-    loss += boundary_weight * float(np.mean(bresid * bresid))
+    loss += BOUNDARY_WEIGHT * float(np.mean(bresid * bresid))
     return loss, resid, bresid
 
 
 class AdamState:
     """Per-parameter first/second moment accumulators, bias-corrected."""
 
-    def __init__(self, params, beta1=0.9, beta2=0.999, eps=1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self, params):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
 
     def step(self, params, grads, lr):
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - ADAM_BETA1 ** self.t
+        c2 = 1.0 - ADAM_BETA2 ** self.t
         for k in params:
             g = grads[k]
-            self.m[k] = self.beta1 * self.m[k] + (1.0 - self.beta1) * g
-            self.v[k] = self.beta2 * self.v[k] + (1.0 - self.beta2) * g * g
+            self.m[k] = ADAM_BETA1 * self.m[k] + (1.0 - ADAM_BETA1) * g
+            self.v[k] = ADAM_BETA2 * self.v[k] + (1.0 - ADAM_BETA2) * g * g
             params[k] -= lr * (self.m[k] / c1) / (np.sqrt(self.v[k] / c2)
-                                                  + self.eps)
+                                                  + ADAM_EPS)
 
 
 def _split_indices(count: int, validation_fraction: float, seed: int):
@@ -345,8 +346,7 @@ def sup_error(model: NeuralOperatorModel, X, u, d_hat, targets,
     return worst
 
 
-def train(dataset, cfg: TrainingConfig, d_c: int = 64, layers: int = 2,
-          boundary_weight: float = 0.1):
+def train(dataset, cfg: TrainingConfig, d_c: int = 64, layers: int = 2):
     """Fit the operator to a predictor dataset; returns (model, report).
 
     Early-stops on validation loss, restores the best-validation weights
@@ -371,8 +371,7 @@ def train(dataset, cfg: TrainingConfig, d_c: int = 64, layers: int = 2,
             sel = idx[i:i + 512]
             F = build_features(model, X[sel], u[sel], d_hat[sel])
             Y, _ = _forward_cached(model, F, queries)
-            loss, _, _ = _loss(model, Y, X[sel], t_norm[sel],
-                               boundary_weight)
+            loss, _, _ = _loss(model, Y, X[sel], t_norm[sel])
             total += loss * len(sel)
             count += len(sel)
         return total / count
@@ -395,8 +394,7 @@ def train(dataset, cfg: TrainingConfig, d_c: int = 64, layers: int = 2,
         for i in range(0, len(order), cfg.batch_size):
             sel = order[i:i + cfg.batch_size]
             loss, grads = training_loss_and_grads(
-                model, X[sel], u[sel], d_hat[sel], t_norm[sel], queries,
-                boundary_weight)
+                model, X[sel], u[sel], d_hat[sel], t_norm[sel], queries)
             if not np.isfinite(loss):
                 raise RuntimeError(
                     f"non-finite training loss at epoch {epoch} "

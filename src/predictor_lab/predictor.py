@@ -223,9 +223,3 @@ def lipschitz_constant(sys: SystemModel, d_max: float) -> float:
     e = np.exp(d_max * c_f)
     xi = c_f * (u_bar + e * (x_bar + c_f * d_max * u_bar))
     return float(e * max(1.0, xi, d_max * c_f))
-
-
-def uniform_predictor_bound(sys: SystemModel, d_max: float) -> float:
-    """Sup-norm bound e^{D_max C_f}(X_bar + C_f D_max U_bar) on predictions."""
-    c_f = sys.C_f
-    return float(np.exp(d_max * c_f) * (sys.x_bound + c_f * d_max * sys.u_bound))

@@ -107,7 +107,6 @@ class SimulationTrace:
     pred_time_s: np.ndarray
     diverged: bool = False
     divergence_step: Optional[int] = None
-    config: Optional[SimulationConfig] = None
 
     @property
     def n_steps(self) -> int:
@@ -303,4 +302,4 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         X=Xs[:K], **out,
         gamma_fn=_gamma(v, w_gamma, cfg.d_true, out["d_hat"]),
         upsilon_fn=_upsilon(v, w_upsilon, cfg.d_true, out["d_hat"]),
-        diverged=diverged, divergence_step=div_step, config=cfg)
+        diverged=diverged, divergence_step=div_step)

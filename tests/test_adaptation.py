@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import predictor_lab as pl
-from predictor_lab.adaptation import phi_unmeasured_bound
 from predictor_lab.predictor import PredictorGrid, PredictorProfile
 from predictor_lab.systems import SystemModel
 
@@ -135,21 +134,6 @@ def test_phi_unmeasured_zero_when_drift_vanishes():
     phi = pl.phi_unmeasured(sys, hand_profile(sys, grid, 1.0, p_vals),
                             u_hat, u_hat_x, 1.0, grid)
     assert phi == 0.0
-
-
-def test_phi_unmeasured_respects_computable_bound(protein):
-    rng = np.random.default_rng(9)
-    grid = PredictorGrid(41)
-    for _ in range(20):
-        X = protein.sample_states(1, rng)[0]
-        vals = X + 0.05 * rng.normal(size=(41, 2))
-        d_hat = rng.uniform(0.5, 2.5)
-        prof = hand_profile(protein, grid, d_hat, vals)
-        u_hat = rng.normal(size=41)
-        u_hat_x = rng.normal(size=41)
-        phi = pl.phi_unmeasured(protein, prof, u_hat, u_hat_x, d_hat, grid)
-        bound = phi_unmeasured_bound(protein, prof, u_hat, d_hat, grid)
-        assert abs(phi) <= bound + 1e-9
 
 
 def test_deadzone_sign():

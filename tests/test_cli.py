@@ -388,7 +388,7 @@ HARVEST_KEYWORDS = dict(n_samples=1000, seed=0, m=41, q=None, stride_s=0.1,
                         target_tol=1e-9, jobs=1)
 TRAINING = dict(learning_rate=1e-3, batch_size=64, epochs=300,
                 early_stop_patience=40, validation_fraction=0.1, seed=0,
-                d_c=64, layers=2, boundary_weight=0.1)
+                d_c=64, layers=2)
 BENCHMARK = dict(system="protein", count=64, d_range=(0.5, 2.0), seed=0,
                  dx_list=[0.01, 0.005, 0.001], n_trials=1000, model=None)
 
@@ -500,6 +500,7 @@ RANGE_CASES = [
     (GEN_LINEAR, "--dhat0-range", "nan,1"),
     (GEN_LINEAR, "--dhat0-range", "a,b"),
     (BENCH_LINEAR, "--dx", "0.1,abc"),
+    (BENCH_LINEAR, "--dx", "0.1,0.1"),
 ]
 
 

@@ -207,7 +207,7 @@ def test_validation_loss_is_the_training_loss_without_backprop():
     targets = np.random.default_rng(6).normal(size=(9, 5, model.n))
     loss, _ = no.training_loss_and_grads(model, X, u, d, targets, q)
     Y, _ = no._forward_cached(model, no.build_features(model, X, u, d), q)
-    assert no._loss(model, Y, X, targets, 0.1)[0] == loss
+    assert no._loss(model, Y, X, targets)[0] == loss
 
 
 def test_normalization_round_trip():

@@ -238,21 +238,6 @@ def test_transition_matrix_is_ordered_prefix_product(protein):
     assert defect < 1e-12 * np.abs(tm).max()
 
 
-def test_uniform_predictor_bound_holds(protein):
-    from predictor_lab.predictor import uniform_predictor_bound
-    bound = uniform_predictor_bound(protein, 2.5)
-    assert np.isfinite(bound)
-    rng = np.random.default_rng(7)
-    from predictor_lab.verify import system_profile
-    for _ in range(20):
-        X = protein.sample_states(1, rng)[0]
-        u = system_profile(protein, rng, scale=0.8)
-        prof = pl.solve_fixed_point(protein, X, u,
-                                    rng.uniform(0.5, 2.5),
-                                    pl.PredictorGrid(51))
-        assert np.abs(prof.values).max() <= bound
-
-
 def test_warm_start_reduces_iterations(protein):
     rng = np.random.default_rng(8)
     u = random_profile(rng, 0.5)

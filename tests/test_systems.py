@@ -219,12 +219,13 @@ def test_chemostat_positivity(chemostat):
         assert X[0] > 0.0 and X[1] > 0.0
 
 
-def test_import_leaves_scipy_unloaded():
+@pytest.mark.parametrize("module", ["scipy", "multiprocessing"])
+def test_import_leaves_scipy_unloaded(module):
     src = str(Path(pl.__file__).resolve().parents[1])
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
-            "import predictor_lab; print('scipy' in sys.modules)")
-    out = subprocess.run([_sys.executable, "-c", code, src], check=True,
-                         capture_output=True, text=True).stdout
+            "import predictor_lab; print(sys.argv[2] in sys.modules)")
+    out = subprocess.run([_sys.executable, "-c", code, src, module],
+                         check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
 
 
