@@ -1,13 +1,13 @@
 """Delay-adaptive predictor feedback with neural-operator approximate predictors."""
 
-from .adaptation import (AdaptationState, deadzone_sign,
-                         estimated_input_profile, phi_measured,
+from .adaptation import (AdaptationState, deadzone_sign, phi_measured,
                          phi_unmeasured, project, step_delay_estimate)
 from .benchmark import BenchReport, benchmark_predictors, make_corpus
 from .dataset import (PredictorDataset, SampleRanges, generate_dataset,
                       load_dataset, save_dataset)
-from .history import (HistoryWindowError, InputHistory, distributed_input,
-                      distributed_input_xderiv, window_functionals)
+from .history import (HistoryWindowError, InputHistory,
+                      distributed_input_xderiv, estimated_input_profile,
+                      window_functionals)
 from .neural_operator import (NeuralOperatorModel, TrainingConfig, forward,
                               init_model, load_model, save_model, train)
 from .predictor import (PredictorError, PredictorGrid, PredictorProfile,

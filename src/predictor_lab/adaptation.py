@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .history import InputHistory, distributed_input
 from .predictor import PredictorGrid, PredictorProfile
 from .systems import SystemModel
 
@@ -24,9 +23,11 @@ class AdaptationState:
 
     def __post_init__(self):
         if not 0.0 < self.d_min <= self.d_max:
-            raise ValueError("need 0 < d_min <= d_max")
+            raise ValueError(
+                f"need 0 < d_min={self.d_min} <= d_max={self.d_max}")
         if not self.d_min <= self.d_hat <= self.d_max:
-            raise ValueError("d_hat must start inside [d_min, d_max]")
+            raise ValueError(f"d_hat={self.d_hat} must start inside "
+                             f"[d_min={self.d_min}, d_max={self.d_max}]")
         # a step multiplies gamma by phi, and inf * 0 is NaN
         if not 0.0 <= self.gamma < np.inf:
             raise ValueError(f"gamma={self.gamma!r} must be finite and >= 0")
@@ -60,12 +61,6 @@ def phi_measured(sys: SystemModel, w: np.ndarray, q1: np.ndarray,
     num = np.trapezoid(weight * q1 * w, xs)
     den = 1.0 + float(sys.lyapunov(X)) + b * np.trapezoid(weight * w * w, xs)
     return float(-num / den)
-
-
-def estimated_input_profile(h: InputHistory, d_hat: float,
-                            grid: PredictorGrid) -> np.ndarray:
-    """u_hat(x_i) = U(t + d_hat (x_i - 1)) reconstructed from the history."""
-    return np.asarray(distributed_input(h, d_hat, grid.points), dtype=float)
 
 
 def phi_unmeasured(sys: SystemModel, p_hat: PredictorProfile,

@@ -87,12 +87,17 @@ def _floats(text: str) -> tuple:
     return tuple(float(v) for v in text.split(","))
 
 
-def _distinct_floats(text: str) -> tuple:
-    """Comma-separated numbers, none of them repeated."""
-    values = _floats(text)
-    if len(set(values)) != len(values):
-        raise argparse.ArgumentTypeError(f"repeated value in {text!r}")
-    return values
+def _grid_steps(text: str) -> tuple:
+    """Comma-separated grid steps, no two of them giving the same grid."""
+    steps = _floats(text)
+    try:
+        sizes = {PredictorGrid.from_dx(dx).n_points for dx in steps}
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if len(sizes) != len(steps):
+        raise argparse.ArgumentTypeError(
+            f"two steps in {text!r} give one grid")
+    return steps
 
 
 def _pair(text: str) -> tuple:
@@ -279,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
                         allow_abbrev=False)
     bm.add_argument("--system", default="protein")
     bm.add_argument("--model", help="trained model; adds the neural backend")
-    bm.add_argument("--dx", type=_distinct_floats, default="0.01,0.005,0.001")
+    bm.add_argument("--dx", type=_grid_steps, default="0.01,0.005,0.001")
     bm.add_argument("--trials", type=int, default=1000)
     bm.add_argument("--corpus-size", type=int, default=64)
     bm.add_argument("--d-range", type=_pair, default=(0.5, 2.0))

@@ -156,6 +156,8 @@ def generate_dataset(base_cfg: SimulationConfig, n_samples: int,
     """
     if n_samples <= 0:
         raise ValueError("n_samples must be positive")
+    if jobs < 1:
+        raise ValueError(f"jobs={jobs!r} must be at least 1")
     if stride_s <= 0.0 or base_cfg.dt <= 0.0:
         raise ValueError("harvest stride and dt must be positive")
     stride_steps = max(1, int(round(stride_s / base_cfg.dt)))

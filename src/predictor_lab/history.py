@@ -1,13 +1,16 @@
-"""Sliding uniform record of the applied control U(t).
+"""Sliding uniform record of the applied control U(t), and every read of it.
 
-The history realizes the in-transit actuation profile u(x, t) = U(t + d(x-1))
-and its x-derivative by interpolating the stored samples, and provides the
-windowed integral functionals used by the stability diagnostics.
+``delayed_input_sampler`` gives u(x, t) = U(t + d(x-1)) to the solver, the
+harvest and the operator; ``estimated_input_profile`` and
+``distributed_input_xderiv`` give the unmeasured law u_hat and u_hat_x.  The
+windowed integral functionals feed the stability diagnostics.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .predictor import PredictorGrid
 
 GUARD_SAMPLES = 2  # extra old samples kept for derivative stencils
 
@@ -83,34 +86,6 @@ class InputHistory:
         out = vals[i0] * (1.0 - frac) + vals[i0 + 1] * frac
         return float(out) if np.isscalar(t) else out
 
-    def _derivative_nodes(self) -> np.ndarray:
-        """dU/dt at every stored node: centered interior, one-sided ends."""
-        v = self._values
-        dt = self.sample_period
-        d = np.empty_like(v)
-        d[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-        return d
-
-    def sample_derivative(self, t):
-        """dU/dt at time(s) t, interpolated between the node stencils."""
-        pos = self._positions(t)
-        nodes = self._derivative_nodes()
-        i0 = np.clip(np.floor(pos).astype(int), 0, self._capacity - 2)
-        frac = pos - i0
-        out = nodes[i0] * (1.0 - frac) + nodes[i0 + 1] * frac
-        return float(out) if np.isscalar(t) else out
-
-
-def distributed_input(h: InputHistory, delay: float, x):
-    """u(x, t) = U(t + delay (x - 1)) from the recorded history."""
-    if not 0.0 < delay <= h.window_length + 1e-12:
-        raise ValueError(f"delay {delay!r} outside (0, window_length]")
-    x = np.asarray(x, dtype=float)
-    theta = h.current_time + delay * (x - 1.0)
-    return h.sample(theta) if x.ndim else float(h.sample(float(theta)))
-
 
 def delayed_input_sampler(h: InputHistory, t: float, delay: float):
     """u(x) = U(t + delay (x-1)), holding the newest sample at the x=1 edge.
@@ -129,6 +104,12 @@ def delayed_input_sampler(h: InputHistory, t: float, delay: float):
     return sampler
 
 
+def estimated_input_profile(h: InputHistory, d_hat: float,
+                            grid: PredictorGrid) -> np.ndarray:
+    """u_hat(x_i) = U(t + d_hat (x_i - 1)) at the newest recorded time t."""
+    return delayed_input_sampler(h, h.current_time, d_hat)(grid.points)
+
+
 def distributed_input_xderiv(h: InputHistory, delay: float, x):
     """du/dx = delay * U'(t + delay (x - 1)), U' by finite differences."""
     if not 0.0 < delay <= h.window_length + 1e-12:
@@ -139,7 +120,15 @@ def distributed_input_xderiv(h: InputHistory, delay: float, x):
         raise HistoryWindowError(
             "insufficient margin for the derivative stencil",
             earliest=h.window_start + h.sample_period)
-    d = h.sample_derivative(theta)
+    pos = h._positions(theta)
+    v, dt = h._values, h.sample_period
+    # slopes are centred, one-sided at the newest node; the margin keeps i0 >= 1
+    i0 = np.minimum(np.floor(pos).astype(int), len(v) - 2)
+    d1 = np.where(i0 == len(v) - 2, 3.0 * v[-1] - 4.0 * v[-2] + v[-3],
+                  v.take(i0 + 2, mode="clip") - v[i0])
+    frac = pos - i0
+    d = ((v[i0 + 1] - v[i0 - 1]) / (2.0 * dt) * (1.0 - frac)
+         + d1 / (2.0 * dt) * frac)
     return delay * (d if x.ndim else float(d))
 
 

@@ -65,7 +65,7 @@ class NeuralOperatorModel:
         return np.linspace(0.0, 1.0, self.m)
 
 
-def param_names(n: int, d_c: int, layers: int) -> list:
+def param_names(layers: int) -> list:
     names = ["lift_W1", "lift_b1", "lift_W2", "lift_b2"]
     for l in range(1, layers + 1):
         names += [f"hidden_W{l}", f"hidden_b{l}", f"hidden_V{l}"]
@@ -438,8 +438,7 @@ def save_model(model: NeuralOperatorModel, path) -> None:
     arrays = {"norm_in_mu": model.norm_in_mu, "norm_in_sd": model.norm_in_sd,
               "norm_out_mu": model.norm_out_mu,
               "norm_out_sd": model.norm_out_sd}
-    arrays.update({k: model.params[k]
-                   for k in param_names(model.n, model.d_c, model.layers)})
+    arrays.update({k: model.params[k] for k in param_names(model.layers)})
     for name, arr in arrays.items():
         shape = " ".join(str(s) for s in arr.shape)
         lines.append(f"array {name} {shape}")
@@ -473,7 +472,7 @@ def load_model(path) -> NeuralOperatorModel:
     n, m, d_c, layers = (int(layout[k]) for k in keys)
 
     expected = ["norm_in_mu", "norm_in_sd", "norm_out_mu", "norm_out_sd"]
-    expected += param_names(n, d_c, layers)
+    expected += param_names(layers)
     arrays = {}
     i = 2
     for name in expected:
@@ -502,7 +501,7 @@ def load_model(path) -> NeuralOperatorModel:
     if i >= len(lines) or lines[i] != "end":
         raise ModelFormatError("truncated file: missing end marker")
 
-    params = {k: arrays[k] for k in param_names(n, d_c, layers)}
+    params = {k: arrays[k] for k in param_names(layers)}
     return NeuralOperatorModel(
         n=n, m=m, d_c=d_c, layers=layers, params=params,
         norm_in_mu=arrays["norm_in_mu"].reshape(-1),

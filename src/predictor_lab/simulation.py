@@ -10,11 +10,11 @@ from typing import Optional
 
 import numpy as np
 
-from .adaptation import (AdaptationState, estimated_input_profile,
-                         phi_measured, phi_unmeasured, step_delay_estimate)
+from .adaptation import (AdaptationState, phi_measured, phi_unmeasured,
+                         step_delay_estimate)
 from .history import (InputHistory, delayed_input_sampler,
-                      distributed_input_xderiv, run_window_functionals,
-                      window_functionals)
+                      distributed_input_xderiv, estimated_input_profile,
+                      run_window_functionals, window_functionals)
 from .neural_operator import check_state_dim, forward, load_model
 from .predictor import (PredictorError, PredictorGrid, PredictorProfile,
                         integral_residual, q1_scan, solve_fixed_point)
@@ -216,13 +216,12 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
                         sys, X, sampler, d_hat, grid, tol=cfg.solver_tol,
                         max_iter=cfg.solver_max_iter, warm_start=warm)
                 else:  # neural
-                    u_m = np.asarray(sampler(model.input_grid), dtype=float)
+                    u_m = sampler(model.input_grid)
                     values = forward(model, X, u_m, d_hat, grid.points)
                     profile = PredictorProfile(
                         grid=grid, values=values, iterations=0,
                         residual=integral_residual(
-                            sys, values, np.asarray(sampler(grid.points)),
-                            d_hat, grid.dx))
+                            sys, values, sampler(grid.points), d_hat, grid.dx))
                 solve_time = time.perf_counter() - tic
                 residual = profile.residual
                 warm = profile.values
@@ -244,18 +243,17 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
         U = float(np.clip(u_raw, clip[0], clip[1])) if clip else float(u_raw)
         prev_u_raw = u_raw
         hist.push(t, U)
+        # unclipped: after the push, current_time can differ from t by an ulp
+        u_nodes = hist.sample(t + cfg.d_true * (grid.points - 1.0))
+        u_arriving = float(u_nodes[0])  # x = 0 is t - D
 
         phi = 0.0
-        u_arriving = None
         if cfg.law != "frozen" and profile is not None:
             try:
                 if cfg.law == "measured":
-                    u_nodes = hist.sample(t + cfg.d_true * (grid.points - 1.0))
-                    u_arriving = float(u_nodes[0])  # x = 0 is t - D
                     w = u_nodes - sys.controller(profile.values)
                     post_sampler = delayed_input_sampler(hist, t, cfg.d_true)
-                    q1 = q1_scan(sys, profile, post_sampler, d_hat,
-                                 float(u_nodes[0]))
+                    q1 = q1_scan(sys, profile, post_sampler, d_hat, u_arriving)
                     phi = phi_measured(sys, w, q1, X, cfg.b, grid)
                 else:
                     u_hat = estimated_input_profile(hist, d_hat, grid)
@@ -264,11 +262,8 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
                                          d_hat, grid)
                 if not np.isfinite(phi):
                     phi = 0.0
-            except (PredictorError, FloatingPointError):
+            except PredictorError:
                 phi = 0.0
-
-        if u_arriving is None:
-            u_arriving = hist.sample(t - cfg.d_true)
 
         out["t"][k] = t
         Xs[k] = X

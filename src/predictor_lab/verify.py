@@ -11,7 +11,7 @@ import numpy as np
 from . import neural_operator as no
 from .adaptation import AdaptationState, project, step_delay_estimate
 from .dataset import PredictorDataset, load_dataset, save_dataset
-from .history import InputHistory, distributed_input
+from .history import InputHistory, delayed_input_sampler
 from .predictor import (PredictorGrid, lipschitz_constant, solve_fixed_point,
                         solve_ode_march)
 from .simulation import SimulationConfig, run
@@ -103,7 +103,7 @@ def suite_transport(seed: int = 0) -> SuiteResult:
         h.push(k * dt, float(u_true(k * dt)))
     t = n_steps * dt
     xs = np.linspace(0.0, 1.0, 257)
-    prof = distributed_input(h, delay, xs)
+    prof = delayed_input_sampler(h, t, delay)(xs)
     exact = u_true(t + delay * (xs - 1.0))
     max_uddot = 9.0 + 0.25 * 49.0
     bound = dt ** 2 * max_uddot
@@ -112,8 +112,8 @@ def suite_transport(seed: int = 0) -> SuiteResult:
     shift_err = 0.0
     rng = np.random.default_rng(seed)
     for x in rng.uniform(0.0, 1.0, size=32):
-        lhs = distributed_input(h, delay, float(x))
-        rhs = distributed_input(h, delay * (1.0 - float(x)), 0.0)
+        lhs = delayed_input_sampler(h, t, delay)(x)
+        rhs = delayed_input_sampler(h, t, delay * (1.0 - x))(0.0)
         shift_err = max(shift_err, abs(lhs - rhs))
     ok = err <= bound and shift_err <= 1e-12
     return SuiteResult("transport", ok,

@@ -67,7 +67,7 @@ def test_estimated_input_profile_matches_true_delay():
         h.push(k * 1e-3, np.sin(3 * k * 1e-3))
     grid = PredictorGrid(11)
     u_hat = pl.estimated_input_profile(h, 1.5, grid)
-    truth = pl.distributed_input(h, 1.5, grid.points)
+    truth = h.sample(h.current_time + 1.5 * (grid.points - 1))
     assert np.array_equal(u_hat, truth)
 
 

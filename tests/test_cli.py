@@ -501,6 +501,7 @@ RANGE_CASES = [
     (GEN_LINEAR, "--dhat0-range", "a,b"),
     (BENCH_LINEAR, "--dx", "0.1,abc"),
     (BENCH_LINEAR, "--dx", "0.1,0.1"),
+    (BENCH_LINEAR, "--dx", "0.1,0.1000000000001"),  # one 11-point grid
 ]
 
 
@@ -512,6 +513,19 @@ def test_range_flag_takes_two_ordered_finite_numbers(command, flag, value,
     assert run_cli(command + [flag, value, "--out", str(out)]) == \
         cli.EXIT_USAGE
     assert f"argument {flag}:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, named", [
+    (GEN_LINEAR + ["--jobs", "0"], "jobs=0 must be at least 1"),
+    (GEN_LINEAR + ["--jobs", "-2"], "jobs=-2 must be at least 1"),
+    (["simulate", "--tf", "0.01", "--dhat0", "3"],
+     "d_hat=3.0 must start inside [d_min=0.5, d_max=2.5]"),
+], ids=["jobs 0", "jobs -2", "dhat0 3"])
+def test_value_out_of_range_is_named(command, named, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert run_cli(command + ["--out", str(out)]) == cli.EXIT_USAGE
+    assert named in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import predictor_lab as pl
-from predictor_lab.history import HistoryWindowError
+from predictor_lab.history import HistoryWindowError, delayed_input_sampler
 
 
 def filled_history(fn, dt=1e-3, window=4.0, t_end=4.0):
@@ -14,6 +14,11 @@ def filled_history(fn, dt=1e-3, window=4.0, t_end=4.0):
     for k in range(1, int(round(t_end / dt)) + 1):
         h.push(k * dt, float(fn(k * dt)))
     return h
+
+
+def profile(h, delay, x):
+    """u(x) = U(t + delay (x - 1)) at the newest recorded time t."""
+    return delayed_input_sampler(h, h.current_time, delay)(x)
 
 
 def test_push_then_sample_same_instant():
@@ -58,22 +63,21 @@ def test_query_outside_window_is_error():
 def test_distributed_input_boundaries():
     h = filled_history(np.sin, t_end=4.0)
     # x = 1 is the control being applied now
-    assert pl.distributed_input(h, 2.0, 1.0) == pytest.approx(np.sin(4.0))
+    assert profile(h, 2.0, 1.0) == pytest.approx(np.sin(4.0))
     # x = 0 at the true delay is the input reaching the plant
-    assert pl.distributed_input(h, 2.0, 0.0) == pytest.approx(np.sin(2.0),
-                                                              abs=1e-6)
+    assert profile(h, 2.0, 0.0) == pytest.approx(np.sin(2.0), abs=1e-6)
 
 
 def test_distributed_input_linear_record():
     h = filled_history(lambda t: t, dt=1e-3, window=10.0, t_end=10.0)
     # U(theta) = theta, t=10, delay=2, x=0.25 -> 10 + 2(0.25-1) = 8.5 exactly
-    assert pl.distributed_input(h, 2.0, 0.25) == pytest.approx(8.5, abs=1e-12)
+    assert profile(h, 2.0, 0.25) == pytest.approx(8.5, abs=1e-12)
 
 
 def test_distributed_input_before_history_reports_earliest():
     h = filled_history(np.sin, window=2.0, t_end=4.0)
     with pytest.raises(ValueError):
-        pl.distributed_input(h, 3.0, 0.0)  # needs t=1, window starts at 2
+        profile(h, 3.0, 0.0)  # needs t=1, window starts at 2
 
 
 def test_xderiv_constant_is_zero():
@@ -93,6 +97,33 @@ def test_xderiv_sine_analytic():
     got = pl.distributed_input_xderiv(h, 1.5, 0.5)
     assert got == pytest.approx(1.5 * np.cos(5.0 + 1.5 * (0.5 - 1.0)),
                                 abs=1e-4)
+
+
+def whole_record_xderiv(h, delay, x):
+    """du/dx from dU/dt at every stored node: centred inside, one-sided at
+    both ends, interpolated between the nodes around each query."""
+    v, dt = h._values, h.sample_period
+    nodes = np.empty_like(v)
+    nodes[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+    nodes[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
+    nodes[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+    pos = h._positions(h.current_time + delay * (x - 1.0))
+    i0 = np.clip(np.floor(pos).astype(int), 0, len(v) - 2)
+    frac = pos - i0
+    return delay * (nodes[i0] * (1.0 - frac) + nodes[i0 + 1] * frac)
+
+
+def test_xderiv_matches_the_whole_record_stencil():
+    h = filled_history(lambda t: np.sin(3.0 * t) + 0.1 * t * t, window=2.0)
+    # the longest delay the margin allows reaches one node past the oldest
+    longest = h.window_length - h.sample_period
+    xs = np.concatenate([np.linspace(0.0, 1.0, 201),
+                         np.random.default_rng(0).uniform(0.0, 1.0, 200),
+                         1.0 - np.array([1e-4, 1e-6, 1e-9])])
+    for delay in (longest, 1.3, 0.0105, 1e-3):
+        want = whole_record_xderiv(h, delay, xs)
+        assert np.array_equal(pl.distributed_input_xderiv(h, delay, xs), want)
+        assert pl.distributed_input_xderiv(h, delay, 1.0) == want[200]
 
 
 def test_xderiv_margin_error():
@@ -133,8 +164,8 @@ def test_window_functionals_horizon_exceeds_record():
 @settings(max_examples=40, deadline=None)
 def test_shift_composition_identity(x, delay):
     h = filled_history(np.sin, dt=1e-3, window=2.0, t_end=4.0)
-    lhs = pl.distributed_input(h, delay, x)
-    rhs = pl.distributed_input(h, delay * (1.0 - x), 0.0) if x < 1.0 else lhs
+    lhs = profile(h, delay, x)
+    rhs = profile(h, delay * (1.0 - x), 0.0) if x < 1.0 else lhs
     assert abs(lhs - rhs) < 1e-12
 
 
@@ -147,7 +178,7 @@ def test_transport_identity_against_logged_record():
     log = u_fn(ts)
     xs = np.linspace(0.0, 1.0, 101)
     delay = 1.3
-    prof = pl.distributed_input(h, delay, xs)
+    prof = profile(h, delay, xs)
     direct = np.interp(6.0 + delay * (xs - 1.0), ts, log)
     max_uddot = 9.0 + 0.25 * 49.0
     assert np.abs(prof - direct).max() <= dt ** 2 * max_uddot

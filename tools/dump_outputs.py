@@ -8,6 +8,9 @@ The first form imports ``predictor_lab`` from ``DIR/src`` and the benchmark's
 sizes:
 
 - the closed-loop trace of each benchmark scenario;
+- the closed-loop trace of each ``cli.SIM_PRESETS`` run at N=101: over the
+  preset's whole horizon at ``FULL``, and over the benchmark's smoke episode
+  at its smoke step at ``SMOKE``;
 - protein harvest chunks 0-3, and the operator trained on them;
 - the cold Picard solves of the 256-input timing corpus at N=201;
 - ``C_f`` and the setpoint of each plant.
@@ -24,6 +27,7 @@ and if not, how far it moved each one.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -33,13 +37,14 @@ TRACE_FIELDS = ("X", "U", "U_unclipped", "U_arriving", "d_hat", "phi",
                 "pred_residual", "gamma_fn", "upsilon_fn")
 HARVEST_CHUNKS = 4
 PLANTS = ("protein", "chemostat", "linear")
+PRESET_GRID = 101
 
 
 def _import_tree(root: Path):
     """``predictor_lab`` and ``workloads`` of the tree at ``root``."""
     for path in (root / "perfbench", root / "src"):
         sys.path.insert(0, str(path))
-    import predictor_lab
+    import predictor_lab.cli  # also binds predictor_lab
     import workloads
     for module, home in ((predictor_lab, root / "src"),
                          (workloads, root / "perfbench")):
@@ -66,6 +71,15 @@ def dump(root, sizes: str = "FULL") -> dict:
         trace = pl.simulation.run(cfg, system=pl.make_system(cfg.system))
         for name in TRACE_FIELDS:
             out[f"{workload}/{name}"] = getattr(trace, name)
+
+    for name, preset in pl.cli.SIM_PRESETS.items():
+        cfg = dataclasses.replace(preset, grid_points=PRESET_GRID)
+        if sizes is not wl.FULL:
+            cfg = dataclasses.replace(cfg, dt=sizes.loop_dt,
+                                      t_final=sizes.episode_t)
+        trace = pl.simulation.run(cfg)
+        for field in TRACE_FIELDS:
+            out[f"preset-{name}/{field}"] = getattr(trace, field)
 
     chunks = []
     for chunk in range(HARVEST_CHUNKS):
