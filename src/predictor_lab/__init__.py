@@ -11,8 +11,8 @@ from .history import (HistoryWindowError, InputHistory,
 from .neural_operator import (NeuralOperatorModel, TrainingConfig, forward,
                               init_model, load_model, save_model, train)
 from .predictor import (PredictorError, PredictorGrid, PredictorProfile,
-                        lipschitz_constant, q1_scan, solve_fixed_point,
-                        solve_ode_march, transition_matrix)
+                        q1_scan, solve_fixed_point, solve_ode_march,
+                        transition_matrix)
 from .simulation import (SimulationConfig, SimulationTrace, gamma_functional,
                          run, upsilon_functional)
 from .systems import SystemModel, make_system

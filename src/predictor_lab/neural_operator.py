@@ -91,6 +91,10 @@ def param_shapes(n: int, d_c: int, layers: int) -> dict:
 def init_model(n: int, m: int, d_c: int, layers: int, seed: int = 0,
                norm_in=None, norm_out=None) -> NeuralOperatorModel:
     """Symmetric uniform fan-in initialization; biases start at zero."""
+    if d_c < 1:
+        raise ValueError(f"d_c={d_c} must be at least 1")
+    if layers < 0:
+        raise ValueError(f"layers={layers} must be at least 0")
     rng = np.random.default_rng(seed)
     params = {}
     for name, shape in param_shapes(n, d_c, layers).items():
@@ -473,6 +477,9 @@ def load_model(path) -> NeuralOperatorModel:
 
     expected = ["norm_in_mu", "norm_in_sd", "norm_out_mu", "norm_out_sd"]
     expected += param_names(layers)
+    shapes = {"norm_in_mu": (n + 2,), "norm_in_sd": (n + 2,),
+              "norm_out_mu": (n,), "norm_out_sd": (n,),
+              **param_shapes(n, d_c, layers)}
     arrays = {}
     i = 2
     for name in expected:
@@ -492,10 +499,9 @@ def load_model(path) -> NeuralOperatorModel:
         except ValueError as exc:
             raise ModelFormatError(f"bad number in section {name!r}") from exc
         arr = arr.reshape(shape)
-        want = param_shapes(n, d_c, layers).get(name)
-        if want is not None and arr.shape != want:
-            raise ModelFormatError(
-                f"dimension mismatch in {name!r}: {arr.shape} != {want}")
+        if arr.shape != shapes[name]:
+            raise ModelFormatError(f"dimension mismatch in {name!r}: "
+                                   f"{arr.shape} != {shapes[name]}")
         arrays[name] = arr
         i += 1 + rows
     if i >= len(lines) or lines[i] != "end":
@@ -504,7 +510,7 @@ def load_model(path) -> NeuralOperatorModel:
     params = {k: arrays[k] for k in param_names(layers)}
     return NeuralOperatorModel(
         n=n, m=m, d_c=d_c, layers=layers, params=params,
-        norm_in_mu=arrays["norm_in_mu"].reshape(-1),
-        norm_in_sd=arrays["norm_in_sd"].reshape(-1),
-        norm_out_mu=arrays["norm_out_mu"].reshape(-1),
-        norm_out_sd=arrays["norm_out_sd"].reshape(-1))
+        norm_in_mu=arrays["norm_in_mu"],
+        norm_in_sd=arrays["norm_in_sd"],
+        norm_out_mu=arrays["norm_out_mu"],
+        norm_out_sd=arrays["norm_out_sd"])

@@ -209,17 +209,3 @@ def q1_scan(sys: SystemModel, profile: PredictorProfile, u_sampler: Callable,
     grads = sys.controller_grad(profile.values)        # (N, n)
     return np.einsum("ij,ij->i", grads, tm @ f0)
 
-
-def lipschitz_constant(sys: SystemModel, d_max: float) -> float:
-    """Conservative Lipschitz bound of the predictor operator.
-
-    C = e^{D_max C_f} max{1, Xi, D_max C_f} with
-    Xi = C_f [U_bar + e^{D_max C_f}(X_bar + C_f D_max U_bar)], with C_f the
-    system's sampled Lipschitz bound and X_bar, U_bar its compact box.
-    """
-    c_f = sys.C_f
-    x_bar = sys.x_bound
-    u_bar = sys.u_bound
-    e = np.exp(d_max * c_f)
-    xi = c_f * (u_bar + e * (x_bar + c_f * d_max * u_bar))
-    return float(e * max(1.0, xi, d_max * c_f))

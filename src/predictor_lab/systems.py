@@ -9,22 +9,19 @@ A plant declares only its equations, its setpoint and its box; the state
 dimension, the Lyapunov function and the controller Hessian (always by
 central differences, ``hessian_or_fd``) are derived from them.  Building a
 plant needs numpy alone.  Its closed-loop equilibrium comes from a few
-Newton steps with the analytic Jacobian (``_newton_root``).  Its sampled
-Lipschitz constant ``C_f`` is computed on first read, taking SVDs only of
-the samples whose Frobenius norm can reach the maximum
-(``_estimate_lipschitz``).
+Newton steps with the analytic Jacobian (``_newton_root``).  The box
+[x_lo, x_hi] is where random states are drawn (``sample_states``), and
+``u_bound`` scales random control profiles (``benchmark.make_corpus``,
+``verify.system_profile``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
-_ESTIMATE_SAMPLES = 100_000
-_ESTIMATE_SEED = 20240911
 _NEWTON_MAX_ITER = 50
 
 
@@ -32,21 +29,19 @@ _NEWTON_MAX_ITER = 50
 class SystemModel:
     """A plant/controller pair with the derivative data the toolkit needs.
 
-    ``dynamics``, ``jacobian_state``, ``jacobian_input``, ``controller`` and
-    ``controller_grad`` all accept states of shape (n,) or (..., n) and
-    scalar or (...,) inputs, and broadcast accordingly.  ``setpoint`` is the
-    closed-loop equilibrium, found at construction by Newton's method with
-    the analytic Jacobian until the step is at most 1e-15 * max(1, |x|_inf).
-    The state dimension is ``len(x_lo)``.  ``C_f``, computed on first read,
-    is the largest of |df/du| and the spectral norm of df/dx over a
-    fixed-seed sample of 100 000 (state, input) pairs in the box
-    [x_lo, x_hi] x [-u_bound, u_bound].
+    ``dynamics``, ``jacobian_state``, ``controller`` and ``controller_grad``
+    all accept states of shape (n,) or (..., n) and scalar or (...,) inputs,
+    and broadcast accordingly.  ``setpoint`` is the closed-loop equilibrium,
+    found at construction by Newton's method with the analytic Jacobian
+    until the step is at most 1e-15 * max(1, |x|_inf).  The state dimension
+    is ``len(x_lo)``.  ``sample_states`` draws the verify inputs and the
+    benchmark corpus from the box [x_lo, x_hi]; ``u_bound`` scales the
+    random control profiles of both.
     """
 
     name: str
     dynamics: Callable
     jacobian_state: Callable
-    jacobian_input: Callable
     controller: Callable
     controller_grad: Callable
     setpoint: np.ndarray
@@ -59,19 +54,6 @@ class SystemModel:
     @property
     def state_dim(self) -> int:
         return len(self.x_lo)
-
-    @cached_property
-    def C_f(self) -> float:
-        """Sampled Lipschitz bound of f over the box."""
-        return _estimate_lipschitz(self.jacobian_state, self.jacobian_input,
-                                   self.x_lo, self.x_hi, self.u_bound,
-                                   self.state_dim)
-
-    @property
-    def x_bound(self) -> float:
-        """Largest state norm over the compact box (the box radius)."""
-        corners = np.maximum(np.abs(self.x_lo), np.abs(self.x_hi))
-        return float(np.linalg.norm(corners))
 
     def lyapunov(self, X):
         """V(X) = |X - setpoint|^2 over the last axis of (..., n)."""
@@ -119,28 +101,6 @@ def _newton_root(name, F, J, x0) -> np.ndarray:
             return x
     raise RuntimeError(f"{name}: Newton search for the equilibrium did not "
                        f"converge in {_NEWTON_MAX_ITER} iterations")
-
-
-def _estimate_lipschitz(jac_x, jac_u, x_lo, x_hi, u_bound, n) -> float:
-    """Sampling-based maximization of the Lipschitz bound C_f of f.
-
-    Equal to the maximum of |J_u| and the spectral norm of J_x over all
-    samples; SVDs are taken only where the Frobenius norm of J_x, an upper
-    bound of its spectral norm, reaches a floor that is itself at most C_f.
-    """
-    rng = np.random.default_rng(_ESTIMATE_SEED)
-    X = rng.uniform(x_lo, x_hi, size=(_ESTIMATE_SAMPLES, n))
-    u = rng.uniform(-u_bound, u_bound, size=_ESTIMATE_SAMPLES)
-    jx = jac_x(X, u)
-    ju_max = np.linalg.norm(jac_u(X, u), axis=-1).max()
-    col_sq = np.sum(jx * jx, axis=-2)          # squared column norms
-    fro = np.sqrt(np.sum(col_sq, axis=-1))
-    # a column norm and |J_x|_F / sqrt(n) are lower bounds of the spectral
-    # norm; the relative slack keeps rounding from pruning the maximizer
-    floor = max(ju_max, np.sqrt(col_sq.max()), fro.max() / np.sqrt(n))
-    keep = fro >= floor * (1.0 - 1e-12)
-    spectral = np.linalg.norm(jx[keep], ord=2, axis=(-2, -1))
-    return float(spectral.max(initial=ju_max))
 
 
 # ---------------------------------------------------------------------------
@@ -208,12 +168,6 @@ def _make_protein() -> SystemModel:
         J[..., 1, 1] = -0.5
         return J
 
-    def jacobian_input(X, u):
-        X = np.asarray(X, dtype=float)
-        J = np.zeros(X.shape)
-        J[..., 0] = 1.0
-        return J
-
     def controller(X):
         X = np.asarray(X, dtype=float)
         return -hill_f1(X[..., 0], X[..., 1]) + f1_star
@@ -223,12 +177,10 @@ def _make_protein() -> SystemModel:
         d1, d2 = _hill_f1_grad(X[..., 0], X[..., 1])
         return np.stack([-d1, -d2], axis=-1)
 
-    # operating envelope of the closed-loop benchmark runs; keeps the
-    # sampled Lipschitz constant small enough that exp(D_max * C_f) stays
-    # finite in double precision
+    # operating envelope of the closed-loop benchmark runs; the verify inputs
+    # and the benchmark's timing corpus are drawn from this box and u_bound
     return SystemModel(
-        name="protein", dynamics=dynamics,
-        jacobian_state=jacobian_state, jacobian_input=jacobian_input,
+        name="protein", dynamics=dynamics, jacobian_state=jacobian_state,
         controller=controller, controller_grad=controller_grad,
         setpoint=xstar, x_lo=np.array([0.0, 2.0]),
         x_hi=np.array([0.22, 33.0]), u_bound=5.0,
@@ -316,8 +268,7 @@ def _make_chemostat() -> SystemModel:
                          [p["Z_star"], p["S_star"]])
 
     return SystemModel(
-        name="chemostat", dynamics=dynamics,
-        jacobian_state=jacobian_state, jacobian_input=jacobian_input,
+        name="chemostat", dynamics=dynamics, jacobian_state=jacobian_state,
         controller=controller, controller_grad=controller_grad,
         setpoint=xstar, x_lo=np.array([1.0, 0.8]),
         x_hi=np.array([4.5, 3.5]), u_bound=4.0,
@@ -343,10 +294,6 @@ def _make_linear(a: float, b_in: float) -> SystemModel:
         X = np.asarray(X, dtype=float)
         return np.full(X.shape[:-1] + (1, 1), a)
 
-    def jacobian_input(X, u):
-        X = np.asarray(X, dtype=float)
-        return np.full(X.shape, b_in)
-
     def controller(X):
         X = np.asarray(X, dtype=float)
         return -(a + 1.0) * X[..., 0] / b_in
@@ -356,8 +303,7 @@ def _make_linear(a: float, b_in: float) -> SystemModel:
         return np.full(X.shape, -(a + 1.0) / b_in)
 
     return SystemModel(
-        name="linear", dynamics=dynamics,
-        jacobian_state=jacobian_state, jacobian_input=jacobian_input,
+        name="linear", dynamics=dynamics, jacobian_state=jacobian_state,
         controller=controller, controller_grad=controller_grad,
         setpoint=np.zeros(1), x_lo=np.array([-5.0]), x_hi=np.array([5.0]),
         u_bound=5.0,

@@ -87,7 +87,6 @@ def scalar_test_system(f_const=2.0):
         dynamics=lambda X, u: np.full(np.shape(np.asarray(X)), f_const),
         jacobian_state=lambda X, u: np.zeros(
             np.shape(np.asarray(X)[..., 0]) + (1, 1)),
-        jacobian_input=lambda X, u: np.zeros(np.shape(X)),
         controller=lambda X: np.asarray(X)[..., 0],
         controller_grad=lambda X: np.ones(np.shape(X)),
         setpoint=np.zeros(1), x_lo=-np.ones(1), x_hi=np.ones(1),

@@ -206,8 +206,10 @@ def test_verify_reports_raising_suite_as_fail(monkeypatch, capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    assert run_cli(["verify", "--suite", "nonsense"]) == cli.EXIT_USAGE
-    capsys.readouterr()
+    # "lipschitz" named a removed suite whose bound (5.5e270) could not fail
+    for suite in ("nonsense", "lipschitz"):
+        assert run_cli(["verify", "--suite", suite]) == cli.EXIT_USAGE
+        assert f"unknown verify suite {suite!r}" in capsys.readouterr().err
 
 
 def test_dataset_train_benchmark_pipeline(tmp_path, capsys):
@@ -526,6 +528,25 @@ def test_value_out_of_range_is_named(command, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(command + ["--out", str(out)]) == cli.EXIT_USAGE
     assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value, named", [
+    ("--dc", "0", "d_c=0 must be at least 1"),
+    ("--layers", "-1", "layers=-1 must be at least 0"),
+], ids=["dc 0", "layers -1"])
+def test_train_rejects_an_empty_architecture(flag, value, named, tmp_path,
+                                             capsys):
+    data, out = tmp_path / "d.bin", tmp_path / "m.no"
+    rng = np.random.default_rng(0)
+    save_dataset(PredictorDataset(
+        X=rng.normal(size=(10, 1)), u=rng.normal(size=(10, 3)),
+        d_hat=rng.uniform(0.5, 1.5, size=10),
+        targets=rng.normal(size=(10, 3, 1))), data)
+    code = run_cli(["train", "--dataset", str(data), "--out", str(out),
+                    flag, value])
+    assert code == cli.EXIT_DOMAIN
+    assert f"training failed: {named}" in capsys.readouterr().err
     assert not out.exists()
 
 

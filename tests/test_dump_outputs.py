@@ -29,7 +29,7 @@ def test_two_dumps_of_the_tree_are_equal(tmp_path, capsys):
     assert all(line.endswith("array_equal=True") for line in lines[:-1])
     for name in ("protein-measured/X", "chemostat-unmeasured/gamma_fn",
                  "harvest3/targets", "train/test_err", "cold/values",
-                 "linear/C_f", "preset-chemostat/phi"):
+                 "linear/setpoint", "preset-chemostat/phi"):
         assert name in arrays
 
     # one changed bit, a scaled array and one missing name are all reported,

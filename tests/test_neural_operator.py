@@ -1,5 +1,7 @@
 """Neural operator: algebraic contracts, training behavior, serialization."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -334,6 +336,22 @@ def test_load_rejects_truncated_file(tmp_path):
     truncated.write_text("\n".join(lines[: len(lines) // 2]))
     with pytest.raises(no.ModelFormatError, match="missing section|short"):
         no.load_model(truncated)
+
+
+@pytest.mark.parametrize("name, size", [("norm_in_mu", 4), ("norm_out_sd", 2)])
+def test_load_rejects_normalization_of_the_wrong_length(name, size, tmp_path):
+    # n=2 saves n + 2 input and n output entries; a section cut by one entry,
+    # header included, must not load and leave forward to broadcast the rest
+    path = tmp_path / "m.no"
+    no.save_model(small_model(n=2), path)
+    lines = path.read_text().splitlines()
+    at = lines.index(f"array {name} {size}")
+    lines[at:at + 2] = [f"array {name} {size - 1}",
+                        " ".join(lines[at + 1].split()[1:])]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(no.ModelFormatError, match=re.escape(
+            f"dimension mismatch in {name!r}: ({size - 1},) != ({size},)")):
+        no.load_model(path)
 
 
 def test_load_rejects_bumped_version(tmp_path):

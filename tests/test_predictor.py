@@ -20,7 +20,6 @@ def toy_system(dynamics, jacobian_state, n=1, controller=None,
     return SystemModel(
         name="toy", dynamics=dynamics,
         jacobian_state=jacobian_state,
-        jacobian_input=lambda X, u: np.zeros(np.shape(X)),
         controller=(controller or (lambda X: np.zeros(np.shape(X)[:-1]))),
         controller_grad=(controller_grad or (lambda X: np.zeros(np.shape(X)))),
         setpoint=np.zeros(n), x_lo=-np.ones(n), x_hi=np.ones(n),

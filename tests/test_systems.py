@@ -2,7 +2,6 @@
 
 import subprocess
 import sys as _sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -136,11 +135,6 @@ def test_jacobians_match_finite_differences(name, request):
                   - sys.dynamics(X[i] - e, u[i])) / (2.0 * e[c])
             denom = max(1.0, np.abs(Ji[:, c]).max())
             assert np.abs(Ji[:, c] - fd).max() / denom < 1e-5
-        ju = sys.jacobian_input(X[i], u[i])
-        hu = h * (1.0 + abs(u[i]))
-        fd_u = (sys.dynamics(X[i], u[i] + hu)
-                - sys.dynamics(X[i], u[i] - hu)) / (2.0 * hu)
-        assert np.abs(ju - fd_u).max() / max(1.0, np.abs(ju).max()) < 1e-5
         grad = sys.controller_grad(X[i])
         for c in range(sys.state_dim):
             e = np.zeros(sys.state_dim)
@@ -227,65 +221,6 @@ def test_import_leaves_scipy_unloaded(module):
     out = subprocess.run([_sys.executable, "-c", code, src, module],
                          check=True, capture_output=True, text=True).stdout
     assert out.strip() == "False"
-
-
-def _lipschitz_all_samples(jac_x, jac_u, x_lo, x_hi, u_bound, n):
-    """Reference: the spectral norm of every sample's J_x."""
-    rng = np.random.default_rng(systems._ESTIMATE_SEED)
-    X = rng.uniform(x_lo, x_hi, size=(systems._ESTIMATE_SAMPLES, n))
-    u = rng.uniform(-u_bound, u_bound, size=systems._ESTIMATE_SAMPLES)
-    jx_norm = np.linalg.norm(jac_x(X, u), ord=2, axis=(-2, -1))
-    ju_norm = np.linalg.norm(jac_u(X, u), axis=-1)
-    return float(np.maximum(jx_norm, ju_norm).max())
-
-
-@pytest.mark.parametrize("name", ["protein", "chemostat", "linear"])
-def test_pruned_lipschitz_matches_all_samples(name, request):
-    sys = request.getfixturevalue(name)
-    ref = _lipschitz_all_samples(sys.jacobian_state, sys.jacobian_input,
-                                 sys.x_lo, sys.x_hi, sys.u_bound,
-                                 sys.state_dim)
-    assert sys.C_f == ref
-
-
-def test_lipschitz_estimate_waits_for_first_read(monkeypatch):
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return estimate(*args)
-
-    estimate = systems._estimate_lipschitz
-    monkeypatch.setattr(systems, "_estimate_lipschitz", counting)
-    for name in ("protein", "chemostat", "linear"):
-        plant = pl.make_system(name)
-        assert len(calls) == 0
-        assert plant.C_f == plant.C_f
-        assert len(calls) == 1
-        calls.clear()
-    # dataclasses.replace (the benchmark's tracer) gives a copy that
-    # estimates its own bound
-    copy = replace(plant, dynamics=plant.dynamics)
-    assert copy.C_f == plant.C_f
-    assert len(calls) == 1
-
-
-def test_pruned_lipschitz_keeps_spectral_max_below_largest_frobenius():
-    # sample 0 has the largest Frobenius norm (sqrt 18) but spectral norm 3;
-    # sample 1 holds the spectral maximum 4 with Frobenius norm 4
-    def jac_x(X, u):
-        J = 0.1 * X[:, :, None] * X[:, None, :] + 0.05 * u[:, None, None]
-        J[0] = np.diag([3.0, 3.0])
-        J[1] = [[4.0, 0.0], [0.0, 0.0]]
-        return J
-
-    def jac_u(X, u):
-        return 0.5 * X
-
-    args = (jac_x, jac_u, np.zeros(2), np.ones(2), 1.0, 2)
-    ref = _lipschitz_all_samples(*args)
-    assert ref == 4.0
-    assert systems._estimate_lipschitz(*args) == ref
 
 
 def test_protein_setpoint_matches_fsolve(protein):

@@ -13,7 +13,7 @@ sizes:
   at its smoke step at ``SMOKE``;
 - protein harvest chunks 0-3, and the operator trained on them;
 - the cold Picard solves of the 256-input timing corpus at N=201;
-- ``C_f`` and the setpoint of each plant.
+- the setpoint of each plant.
 
 The second form prints each array name with whether the two dumps hold
 ``np.array_equal`` arrays under it, and exits 1 if any differ or either dump
@@ -108,9 +108,7 @@ def dump(root, sizes: str = "FULL") -> dict:
     out["cold/residual"] = np.array([s.residual for s in solves])
 
     for name in PLANTS:
-        plant = pl.make_system(name)
-        out[f"{name}/C_f"] = np.array(plant.C_f)
-        out[f"{name}/setpoint"] = plant.setpoint
+        out[f"{name}/setpoint"] = pl.make_system(name).setpoint
     return out
 
 
