@@ -97,6 +97,6 @@ def step_delay_estimate(st: AdaptationState, phi: float,
     if dt <= 0.0:
         raise ValueError("dt must be positive")
     update = st.gamma * project(st.d_hat, st.d_min, st.d_max, phi)
-    d_new = float(np.clip(st.d_hat + dt * update, st.d_min, st.d_max))
+    d_new = float(min(max(st.d_hat + dt * update, st.d_min), st.d_max))
     return AdaptationState(d_hat=d_new, d_min=st.d_min, d_max=st.d_max,
                            gamma=st.gamma)

@@ -68,8 +68,15 @@ class InputHistory:
         times = np.asarray(times, dtype=float)
         lo = self.window_start - 1e-9 * max(1.0, abs(self.window_start))
         hi = self.current_time + 1e-9 * max(1.0, abs(self.current_time))
-        if np.any(times < lo) or np.any(times > hi):
-            bad = float(times[(times < lo) | (times > hi)].flat[0])
+        # NaN fails the comparison, so it never reaches the index arithmetic
+        if times.size and not lo <= times.min() <= times.max() <= hi:
+            flat = times.ravel()
+            finite = np.isfinite(flat)
+            if not finite.all():
+                raise HistoryWindowError(
+                    f"query t={float(flat[~finite][0])!r} is not finite",
+                    earliest=self.window_start)
+            bad = float(flat[(flat < lo) | (flat > hi)][0])
             raise HistoryWindowError(
                 f"query t={bad!r} outside recorded window "
                 f"[{self.window_start!r}, {self.current_time!r}]",
@@ -81,7 +88,8 @@ class InputHistory:
         """U at time(s) t by linear interpolation; scalar in, scalar out."""
         pos = self._positions(t)
         vals = self._values
-        i0 = np.clip(np.floor(pos).astype(int), 0, self._capacity - 2)
+        # the window check keeps pos >= GUARD_SAMPLES - tolerance, so i0 >= 1
+        i0 = np.minimum(np.floor(pos).astype(int), self._capacity - 2)
         frac = pos - i0
         out = vals[i0] * (1.0 - frac) + vals[i0 + 1] * frac
         return float(out) if np.isscalar(t) else out

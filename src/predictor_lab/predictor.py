@@ -59,6 +59,14 @@ class PredictorGrid:
         xs.flags.writeable = False
         return xs
 
+    @cached_property
+    def nodes_and_midpoints(self) -> np.ndarray:
+        """The N nodes, then the N-1 cell midpoints; read-only."""
+        xs = self.points
+        q = np.concatenate([xs, np.clip(xs[:-1] + 0.5 * self.dx, 0.0, 1.0)])
+        q.flags.writeable = False
+        return q
+
 
 @dataclass
 class PredictorProfile:
@@ -70,7 +78,7 @@ class PredictorProfile:
 
 def _trapezoid_cumsum(g: np.ndarray, h: float) -> np.ndarray:
     """Running trapezoid sums h * sum_{j<i} (g_j + g_{j+1}) at nodes 1..N-1."""
-    return np.cumsum(h * (g[1:] + g[:-1]), axis=0)
+    return np.add.accumulate(h * (g[1:] + g[:-1]), axis=0)
 
 
 def integral_residual(sys: SystemModel, values: np.ndarray, u_nodes: np.ndarray,
@@ -89,35 +97,40 @@ def solve_fixed_point(sys: SystemModel, X, u_sampler: Callable, delay: float,
 
     Each sweep evaluates the dynamics along the previous iterate and rebuilds
     the whole curve at once from the running trapezoid sum; the step size is
-    the sup-norm change between successive iterates.
+    the sup-norm change between successive iterates.  Two buffers, both
+    starting at X, hold the iterate and the next one; ``warm_start`` is only
+    read.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    if delay < 0.0:
-        raise ValueError("delay must be nonnegative")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol={tol!r} must be finite and positive")
+    if not (math.isfinite(delay) and delay >= 0.0):
+        raise ValueError(f"delay={delay!r} must be finite and >= 0")
+    if max_iter < 1:
+        raise ValueError(f"max_iter={max_iter!r} must be at least 1")
     X = np.atleast_1d(np.asarray(X, dtype=float))
     n = sys.state_dim
     xs = grid.points
     u_nodes = np.asarray(u_sampler(xs), dtype=float)
-    if warm_start is not None and warm_start.shape == (grid.n_points, n):
-        p = warm_start.copy()
-        p[0] = X
+    p = np.empty((grid.n_points, n))
+    if warm_start is not None and warm_start.shape == p.shape:
+        p[1:] = warm_start[1:]
     else:
-        p = np.tile(X, (grid.n_points, 1))
+        p[1:] = X
+    p[0] = X
+    p_next = np.empty_like(p)
+    p_next[0] = X
 
     hfac = 0.5 * grid.dx * delay
     step = np.inf
     for k in range(1, max_iter + 1):
         g = sys.dynamics(p, u_nodes)
-        p_next = np.empty_like(p)
-        p_next[0] = X
-        p_next[1:] = X + _trapezoid_cumsum(g, hfac)
+        np.add(X, _trapezoid_cumsum(g, hfac), out=p_next[1:])
         step = float(np.abs(p_next - p).max())
         if not math.isfinite(step):
             raise PredictorError(
                 f"divergence: non-finite iterate at iteration {k}",
                 iterations=k)
-        p = p_next
+        p, p_next = p_next, p
         if step < tol:
             res = integral_residual(sys, p, u_nodes, delay, grid.dx)
             return PredictorProfile(grid=grid, values=p, iterations=k,
@@ -158,17 +171,15 @@ def solve_ode_march(sys: SystemModel, X, u_sampler: Callable, delay: float,
 def _cell_propagators(sys: SystemModel, profile: PredictorProfile,
                       u_sampler: Callable, delay: float) -> np.ndarray:
     """Per-cell 4th-order propagators of dr/dx = delay * (df/dp) r."""
-    xs = profile.grid.points
     h = profile.grid.dx
     p = profile.values
     p_mid = 0.5 * (p[:-1] + p[1:])
     # nodes and cell midpoints in one history read and one Jacobian call
-    u = np.asarray(u_sampler(np.concatenate(
-        [xs, np.clip(xs[:-1] + 0.5 * h, 0.0, 1.0)])), dtype=float)
+    u = np.asarray(u_sampler(profile.grid.nodes_and_midpoints), dtype=float)
     A = delay * sys.jacobian_state(np.concatenate([p, p_mid]), u)
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise PredictorError("non-finite Jacobian along the predictor curve")
-    A_lo, A_mid = np.split(A, [len(p)])                 # (N | N-1, n, n)
+    A_lo, A_mid = A[:len(p)], A[len(p):]                # (N | N-1, n, n)
 
     eye = np.eye(sys.state_dim)
     # one 4th-order step applied to the identity, batched over cells

@@ -66,7 +66,8 @@ class SimulationConfig:
         ``dt`` leaves an empty trace.  A horizon shorter than ``d_true`` is
         valid: the input history starts idle (U = 0 on [-D, 0]), so every
         delayed lookup is defined from the first step and the plant simply
-        has not yet received any control.
+        has not yet received any control.  ``d_true`` and ``d_max`` size the
+        history window and must be finite; ``b`` must be finite and positive.
         """
         if self.dt <= 0.0:
             raise ValueError("dt must be positive")
@@ -78,8 +79,12 @@ class SimulationConfig:
             raise ValueError(f"unknown predictor {self.predictor!r}")
         if self.law not in LAW_CHOICES:
             raise ValueError(f"unknown adaptation law {self.law!r}")
-        if self.b <= 0.0:
-            raise ValueError(f"b={self.b!r} must be positive")
+        for name in ("d_true", "d_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name}={getattr(self, name)!r} must be finite")
+        if not 0.0 < self.b < math.inf:
+            raise ValueError(f"b={self.b!r} must be positive and finite")
         if self.predictor == "neural" and self.model_path is None:
             raise ValueError("neural predictor requires model_path")
         if not self.d_min <= self.d_true <= self.d_max:
@@ -240,7 +245,7 @@ def run(cfg: SimulationConfig, system: Optional[SystemModel] = None,
                 profile = None
                 u_raw = prev_u_raw
 
-        U = float(np.clip(u_raw, clip[0], clip[1])) if clip else float(u_raw)
+        U = float(min(max(u_raw, clip[0]), clip[1])) if clip else float(u_raw)
         prev_u_raw = u_raw
         hist.push(t, U)
         # unclipped: after the push, current_time can differ from t by an ulp

@@ -523,7 +523,18 @@ def test_range_flag_takes_two_ordered_finite_numbers(command, flag, value,
     (GEN_LINEAR + ["--jobs", "-2"], "jobs=-2 must be at least 1"),
     (["simulate", "--tf", "0.01", "--dhat0", "3"],
      "d_hat=3.0 must start inside [d_min=0.5, d_max=2.5]"),
-], ids=["jobs 0", "jobs -2", "dhat0 3"])
+    (["simulate", "--tf", "0.05", "--D", "nan"], "d_true=nan must be finite"),
+    (["simulate", "--system", "chemostat", "--tf", "0.05", "--D", "nan"],
+     "d_true=nan must be finite"),
+    (["simulate", "--tf", "0.05", "--D", "inf"], "d_true=inf must be finite"),
+    (["simulate", "--tf", "0.05", "--dmax", "inf"],
+     "d_max=inf must be finite"),
+    (["simulate", "--tf", "0.05", "--b", "nan"],
+     "b=nan must be positive and finite"),
+    (["simulate", "--tf", "0.05", "--b", "inf"],
+     "b=inf must be positive and finite"),
+], ids=["jobs 0", "jobs -2", "dhat0 3", "D nan", "chemostat D nan", "D inf",
+        "dmax inf", "b nan", "b inf"])
 def test_value_out_of_range_is_named(command, named, tmp_path, capsys):
     out = tmp_path / "out"
     assert run_cli(command + ["--out", str(out)]) == cli.EXIT_USAGE

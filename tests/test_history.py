@@ -182,3 +182,25 @@ def test_transport_identity_against_logged_record():
     direct = np.interp(6.0 + delay * (xs - 1.0), ts, log)
     max_uddot = 9.0 + 0.25 * 49.0
     assert np.abs(prof - direct).max() <= dt ** 2 * max_uddot
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_query_is_a_window_error(bad):
+    h = filled_history(np.sin, window=2.0)
+    name = f"t={bad!r} is not finite"
+    with pytest.raises(HistoryWindowError, match=name) as exc:
+        h.sample(bad)
+    assert exc.value.earliest == pytest.approx(2.0)
+    with pytest.raises(HistoryWindowError, match=name):
+        h.sample(np.array([3.0, bad, 3.5]))
+    # the first non-finite time is named, even after an out-of-window one
+    with pytest.raises(HistoryWindowError, match=name):
+        h.sample(np.array([1.0, bad, np.nan]))
+
+
+def test_non_finite_xderiv_point_is_a_window_error():
+    h = filled_history(np.sin, window=2.0)
+    with pytest.raises(HistoryWindowError, match="t=nan is not finite"):
+        pl.distributed_input_xderiv(h, 0.5, [0.5, np.nan])
+    with pytest.raises(HistoryWindowError, match="t=nan is not finite"):
+        pl.distributed_input_xderiv(h, 0.5, np.nan)

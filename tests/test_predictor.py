@@ -1,5 +1,7 @@
 """Predictor solvers against closed-form, cross-solver and matrix-exponential oracles."""
 
+import re
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -50,6 +52,12 @@ def test_grid_points_built_once_and_read_only():
     with pytest.raises(ValueError, match="read-only"):
         xs[0] = 0.5
     assert grid == pl.PredictorGrid(11)
+    q = grid.nodes_and_midpoints
+    assert grid.nodes_and_midpoints is q
+    assert np.array_equal(q, np.concatenate(
+        [xs, np.clip(xs[:-1] + 0.5 * grid.dx, 0.0, 1.0)]))
+    with pytest.raises(ValueError, match="read-only"):
+        q[0] = 0.5
 
 
 def test_fixed_point_zero_dynamics_one_iteration():
@@ -246,3 +254,36 @@ def test_warm_start_reduces_iterations(protein):
     warm = pl.solve_fixed_point(protein, X + 1e-4, u, 1.0, grid,
                                 warm_start=cold.values)
     assert warm.iterations < cold.iterations
+
+
+def test_solve_leaves_warm_start_and_keeps_profiles_apart(protein):
+    u = random_profile(np.random.default_rng(4), 0.5)
+    grid = pl.PredictorGrid(101)
+    X = np.array([0.08, 6.0])
+    first = pl.solve_fixed_point(protein, X, u, 1.0, grid)
+    before = first.values.copy()
+    second = pl.solve_fixed_point(protein, X + 1e-4, u, 1.0, grid,
+                                  warm_start=first.values)
+    third = pl.solve_fixed_point(protein, X + 2e-4, u, 1.0, grid,
+                                 warm_start=second.values)
+    assert np.array_equal(first.values, before)
+    for a, b in ((first, second), (second, third), (first, third)):
+        assert not np.shares_memory(a.values, b.values)
+    assert np.array_equal(third.values[0], X + 2e-4)
+
+
+@pytest.mark.parametrize("kwargs, named", [
+    ({"tol": np.nan}, "tol=nan must be finite and positive"),
+    ({"tol": np.inf}, "tol=inf must be finite and positive"),
+    ({"tol": 0.0}, "tol=0.0 must be finite and positive"),
+    ({"delay": np.nan}, "delay=nan must be finite and >= 0"),
+    ({"delay": np.inf}, "delay=inf must be finite and >= 0"),
+    ({"delay": -0.5}, "delay=-0.5 must be finite and >= 0"),
+    ({"max_iter": 0}, "max_iter=0 must be at least 1"),
+], ids=["tol nan", "tol inf", "tol 0", "delay nan", "delay inf",
+        "delay -0.5", "max_iter 0"])
+def test_fixed_point_rejects_a_bad_setting_by_name(linear, kwargs, named):
+    args = {"tol": 1e-10, "delay": 1.0, "max_iter": 200} | kwargs
+    with pytest.raises(ValueError, match=re.escape(named)):
+        pl.solve_fixed_point(linear, [1.0], lambda x: np.ones_like(x),
+                             args.pop("delay"), pl.PredictorGrid(11), **args)

@@ -254,3 +254,59 @@ def test_newton_failure_names_the_plant(monkeypatch):
     with pytest.raises(RuntimeError, match="toy: .*did not converge"):
         systems._newton_root("toy", lambda x: x ** 2 + 1.0,
                              lambda x: np.array([[2.0 * x[0]]]), [0.5])
+
+
+# (state shape, input shape) of every dynamics call the program makes: the
+# Picard sweep along the curve, a bare input on the curve, the plant step
+SHAPES = [((201, 2), (201,)), ((201, 2), ()), ((2,), ())]
+
+
+def _states(plant, shape, u_shape):
+    rng = np.random.default_rng(3)
+    X = plant.x_lo + (plant.x_hi - plant.x_lo) * rng.uniform(size=shape)
+    u = rng.uniform(0.0, plant.u_bound, size=u_shape)
+    return X, (float(u) if u_shape == () else u)
+
+
+@pytest.mark.parametrize("shape, u_shape", SHAPES)
+def test_protein_dynamics_bits_are_the_written_formula(protein, shape,
+                                                       u_shape):
+    X, u = _states(protein, shape, u_shape)
+    x1, x2 = X[..., 0], X[..., 1]
+    want = np.stack([-x1 + hill_f1(x1, x2) + u, -0.5 * x2 + hill_f2(x1)], -1)
+    assert np.array_equal(protein.dynamics(X, u), want)
+    K1, K2, KA, KB = systems.K1, systems.K2, systems.KA, systems.KB
+    assert np.array_equal(hill_f1(x1, x2),
+                          (K1 * x1 ** 2 + KA) / (1.0 + x1 ** 2 + x2 ** 2))
+    assert np.array_equal(hill_f2(x1), (K2 * x1 ** 2 + KB) / (1.0 + x1 ** 2))
+
+
+@pytest.mark.parametrize("shape, u_shape", SHAPES)
+def test_chemostat_dynamics_bits_are_the_written_formula(chemostat, shape,
+                                                         u_shape):
+    p = CHEMOSTAT
+    X, u = _states(chemostat, shape, u_shape)
+    Z, S = X[..., 0], X[..., 1]
+    mu = growth_rate(S)
+    want = np.stack([(p["rho0"] * mu - p["chi"] - u) * Z,
+                     u * (p["S_in"] - S) - mu * Z], -1)
+    assert np.array_equal(chemostat.dynamics(X, u), want)
+
+
+def test_protein_jacobian_bits_are_the_written_formula(protein):
+    X, u = _states(protein, (401, 2), (401,))
+    x1, x2 = X[..., 0], X[..., 1]
+    K1, K2, KA, KB = systems.K1, systems.K2, systems.KA, systems.KB
+    den = 1.0 + x1 ** 2 + x2 ** 2
+    num = K1 * x1 ** 2 + KA
+    d11 = (2.0 * K1 * x1 * den - num * 2.0 * x1) / den ** 2
+    d12 = -num * 2.0 * x2 / den ** 2
+    den2 = 1.0 + x1 ** 2
+    d21 = (2.0 * K2 * x1 * den2 - (K2 * x1 ** 2 + KB) * 2.0 * x1) / den2 ** 2
+    J = protein.jacobian_state(X, u)
+    assert np.array_equal(J[:, 0, 0], -1.0 + d11)
+    assert np.array_equal(J[:, 0, 1], d12)
+    assert np.array_equal(J[:, 1, 0], d21)
+    assert np.array_equal(J[:, 1, 1], np.full(401, -0.5))
+    assert np.array_equal(protein.controller_grad(X),
+                          np.stack([-d11, -d12], -1))
